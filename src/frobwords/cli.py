@@ -4,8 +4,7 @@ reproduction, and the claim-verification suites.
 Output goes to stdout in one of four formats (text, json, csv, markdown);
 progress and diagnostics go to stderr so the data stream stays pipeable.
 Identical invocations produce byte-identical output unless --timestamps is
-given.  FROBWORDS_THREADS sets the worker count for table sweeps (default 1;
-row order in the output never depends on it).
+given.
 """
 
 from __future__ import annotations
@@ -14,10 +13,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import golden, morphic, ternary, verify
 from .factors import (
@@ -32,23 +29,6 @@ from .ternary import Half, decide_cofinite, offsets
 from .words import WORDS
 
 _FORMATS = ("text", "json", "csv", "markdown")
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("FROBWORDS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items):
-    """Map preserving input order; threads only when the env var asks."""
-    workers = _thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def half_str(h: Half) -> str:
@@ -226,13 +206,7 @@ def _cmd_complement(args) -> int:
 
 def _cmd_tables(args) -> int:
     if args.which == 1:
-        bounds = [ab_bound(a, b) for a, b in golden.TABLE1_PAIRS]
-        morphic.phi_envelope_table(max(bd.r for bd in bounds))
-        computed = [
-            row for rows_ in _parallel_map(
-                lambda pair: morphic.table1([pair]), golden.TABLE1_PAIRS)
-            for row in rows_
-        ]
+        computed = morphic.table1()
         gold = golden.TABLE1_GOLDEN
         rows, diffs = [], []
         for row, (pair, g_m, g_c) in zip(computed, gold):

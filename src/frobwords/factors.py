@@ -7,7 +7,9 @@ are scanned and why that is enough:
 * ``ExplicitPrefix(length)`` -- scan one prefix, no completeness claim;
 * ``MorphicCover(power)``    -- for a fixed point of a uniform morphism of
   width L, scan the power-fold images of all length-2 factors; this provably
-  sees every factor of length <= L**power;
+  sees every factor of length <= L**power.  Zero-envelope tables under this
+  source come from one step of desubstitution instead of a scan (see
+  ``_desubstitution_envelopes``);
 * ``StabilizedDoubling(initial_length, max_length)`` -- scan a prefix,
   double it until the answer stops changing across a doubling, and fail
   loudly if the cap is reached first.
@@ -28,6 +30,7 @@ from .words import (
     ConfigurationError,
     FiniteWord,
     MorphicFixedPoint,
+    Morphism,
     WordGenerator,
 )
 
@@ -142,8 +145,6 @@ class StabilizedDoubling:
 
 FactorSource = ExplicitPrefix | MorphicCover | StabilizedDoubling
 
-_PHI_SHORT_SCAN = 10_000  # prefix scanned to discover the length-2 factors
-
 # Read-only per-generator caches; keys die with their generators.
 _COVER_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _ENVELOPE_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -162,16 +163,49 @@ def default_source(g: WordGenerator, n: int) -> FactorSource:
     return StabilizedDoubling()
 
 
+def _length2_factors(m: Morphism, seed: int) -> list[tuple[int, int]]:
+    """The length-2 factors of the fixed point of m at seed, by closure.
+
+    Every length-2 factor of m^k(seed), k >= 2, lies inside m(cd) for some
+    length-2 factor cd of m^(k-1)(seed).  So the 2-factors of m(seed), closed
+    under "add the 2-factors of m(cd) for every known cd", are all of them.
+    """
+    def pairs(arr: np.ndarray) -> set:
+        return set(zip(arr[:-1].tolist(), arr[1:].tolist()))
+
+    found = pairs(m.apply_array(np.array([seed], dtype=np.uint8)))
+    todo = list(found)
+    while todo:
+        new = pairs(m.apply_array(np.array(todo.pop(), dtype=np.uint8))) - found
+        found |= new
+        todo.extend(new)
+    return sorted(found)
+
+
+def _require_cover(g: WordGenerator, n_max: int, src: MorphicCover) -> None:
+    """Reject a MorphicCover request that does not prove completeness."""
+    if n_max < 1:
+        raise ValueError("window length must be >= 1")
+    if not isinstance(g, MorphicFixedPoint):
+        raise ConfigurationError("MorphicCover only applies to morphic fixed points")
+    ell = g.morphism.uniform_length
+    if ell is None or ell < 2:
+        raise ConfigurationError("MorphicCover needs a uniform morphism")
+    if n_max > ell**src.power:
+        raise ValueError(
+            f"windows of length {n_max} are not covered by power {src.power}"
+        )
+
+
 def _morphic_cover_strings(g: MorphicFixedPoint, power: int) -> list[np.ndarray]:
     per_gen = _COVER_CACHE.setdefault(g, {})
     if power in per_gen:
         return per_gen[power]
     m = g.morphism
-    if not m.uniform_length:
-        raise ConfigurationError("MorphicCover needs a uniform morphism")
-    prefix = g.prefix_array(_PHI_SHORT_SCAN)
-    pairs = sorted(set(zip(prefix[:-1].tolist(), prefix[1:].tolist())))
-    strings = [m.power_array(np.array(p, dtype=np.uint8), power) for p in pairs]
+    strings = [
+        m.power_array(np.array(p, dtype=np.uint8), power)
+        for p in _length2_factors(m, g.seed)
+    ]
     for s in strings:
         s.setflags(write=False)
     per_gen[power] = strings
@@ -196,15 +230,7 @@ def _scan_source(
             raise ValueError("explicit prefix shorter than the window")
         return scan([g.prefix_array(src.length)])
     if isinstance(src, MorphicCover):
-        if not isinstance(g, MorphicFixedPoint):
-            raise ConfigurationError("MorphicCover only applies to morphic fixed points")
-        ell = g.morphism.uniform_length
-        if ell is None:
-            raise ConfigurationError("MorphicCover needs a uniform morphism")
-        if n_max > ell**src.power:
-            raise ValueError(
-                f"windows of length {n_max} are not covered by power {src.power}"
-            )
+        _require_cover(g, n_max, src)
         return scan(_morphic_cover_strings(g, src.power))
     if isinstance(src, StabilizedDoubling):
         length = src.initial_length if src.initial_length else 64 * n_max
@@ -353,25 +379,15 @@ def zero_envelope(g: WordGenerator, n: int, src: FactorSource | None = None) -> 
     return ZeroEnvelope(n, z_min, z_max)
 
 
-def zero_envelope_table(
-    g: WordGenerator, n_max: int, src: FactorSource | None = None
+def _scan_envelope_table(
+    g: WordGenerator, n_max: int, src: FactorSource
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(z_min, z_max) arrays for every window length 1..n_max (index n-1).
+    """(z_min, z_max) for lengths 1..n_max by scanning every window of every
+    covering string src demands, once per length; uncached.
 
-    The table form exists because downstream representability sweeps need
-    every length at once and the covering strings dominate the cost; it is
-    stabilized jointly under StabilizedDoubling.  Tables are cached per
-    (generator, source) grow-only, so repeated sweeps share one scan.
+    This is the table under doubling and explicit prefixes, and the
+    reference the desubstitution recursion is checked against.
     """
-    if g.alphabet_size != 2:
-        raise ValueError("zero envelopes are defined for binary words")
-    if src is None:
-        src = default_source(g, n_max)
-
-    per_gen = _ENVELOPE_CACHE.setdefault(g, {})
-    cached = per_gen.get(src)
-    if cached is not None and cached[0] >= n_max:
-        return cached[1][:n_max], cached[2][:n_max]
 
     def scan(strings: list[np.ndarray]):
         zs = [_count_prefix_sums(arr, 0) for arr in strings]
@@ -392,11 +408,107 @@ def zero_envelope_table(
         return mins.tobytes(), maxs.tobytes()
 
     mins_b, maxs_b = _scan_source(g, n_max, src, scan)
-    z_min = np.frombuffer(mins_b, dtype=np.int64).copy()
-    z_max = np.frombuffer(maxs_b, dtype=np.int64).copy()
+    return (np.frombuffer(mins_b, dtype=np.int64).copy(),
+            np.frombuffer(maxs_b, dtype=np.int64).copy())
+
+
+def _desubstitution_envelopes(
+    g: MorphicFixedPoint, n_max: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (z_min, z_max) for lengths 1..n_max of a binary fixed point
+    x = s(x) of a uniform morphism s of width l, without scanning x.
+
+    Every length-L factor of x is s(v)[j : j+L] with j < l and v a factor of
+    length m = ceil((j+L)/l), and every such slice is a factor.  Its zero
+    count is z1*m + (z0-z1)*zeros(v), less the zeros of s(first(v))[:j] and
+    of the part of s(last(v)) cut off after position j+L, where zc counts
+    the zeros of s(c).  So the envelopes of the factors with a given first
+    and last letter at length L follow from those at length m, and m < L
+    once L >= 3: lengths 1 and 2 come from the length-2 factors, and each
+    further block of lengths (M, l*(M-1)+1] needs only lengths <= M.
+    """
+    m = g.morphism
+    ell, k = m.uniform_length, m.alphabet_size
+    images = np.stack([img.to_array() for img in m.images])
+    zero_prefix = np.zeros((k, ell + 1), dtype=np.int64)
+    np.cumsum(images == 0, axis=1, out=zero_prefix[:, 1:])
+    z0, z1 = int(zero_prefix[0, ell]), int(zero_prefix[1, ell])
+    slope = z0 - z1
+
+    # lo[a, b, L] / hi[a, b, L]: least / most zeros over length-L factors
+    # that start with a and end with b; lo > hi marks "no such factor".
+    size = max(n_max, 2) + 1
+    lo = np.full((k, k, size), n_max + 1, dtype=np.int64)
+    hi = np.full((k, k, size), -1, dtype=np.int64)
+    for a, b in _length2_factors(m, g.seed):
+        for c in (a, b):
+            lo[c, c, 1] = hi[c, c, 1] = int(c == 0)
+        lo[a, b, 2] = hi[a, b, 2] = int(a == 0) + int(b == 0)
+
+    done = 2
+    while done < n_max:
+        top = min(ell * (done - 1) + 1, n_max)
+        length = np.arange(done + 1, top + 1)
+        for j in range(ell):
+            m_len = (j + length + ell - 1) // ell
+            kept = j + length - ell * (m_len - 1)  # symbols of s(last) kept
+            for a in range(k):
+                first = images[a, j]
+                for b in range(k):
+                    v_lo, v_hi = lo[a, b, m_len], hi[a, b, m_len]
+                    found = v_lo <= v_hi
+                    if not found.any():
+                        continue
+                    if slope < 0:
+                        v_lo, v_hi = v_hi, v_lo
+                    base = (z1 * m_len - zero_prefix[a, j]
+                            - (zero_prefix[b, ell] - zero_prefix[b, kept]))
+                    last = images[b, kept - 1]
+                    lo[first, last, length] = np.minimum(
+                        lo[first, last, length],
+                        np.where(found, base + slope * v_lo, n_max + 1))
+                    hi[first, last, length] = np.maximum(
+                        hi[first, last, length],
+                        np.where(found, base + slope * v_hi, -1))
+        done = top
+    z_min = lo[:, :, 1:n_max + 1].min(axis=(0, 1))
+    z_max = hi[:, :, 1:n_max + 1].max(axis=(0, 1))
+    return z_min, z_max
+
+
+def zero_envelope_table(
+    g: WordGenerator, n_max: int, src: FactorSource | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(z_min, z_max) arrays for every window length 1..n_max (index n-1).
+
+    The table form exists because downstream representability sweeps need
+    every length at once.  Under MorphicCover it is computed exactly by
+    desubstitution, so every power shares one table; under the other
+    sources it is a scan, stabilized jointly under StabilizedDoubling.
+    Tables are cached per generator grow-only, so repeated sweeps share one
+    computation.
+    """
+    if g.alphabet_size != 2:
+        raise ValueError("zero envelopes are defined for binary words")
+    if src is None:
+        src = default_source(g, n_max)
+    key = src
+    if isinstance(src, MorphicCover):
+        _require_cover(g, n_max, src)
+        key = MorphicCover
+
+    per_gen = _ENVELOPE_CACHE.setdefault(g, {})
+    cached = per_gen.get(key)
+    if cached is not None and cached[0] >= n_max:
+        return cached[1][:n_max], cached[2][:n_max]
+
+    if key is MorphicCover:
+        z_min, z_max = _desubstitution_envelopes(g, n_max)
+    else:
+        z_min, z_max = _scan_envelope_table(g, n_max, src)
     z_min.setflags(write=False)
     z_max.setflags(write=False)
-    per_gen[src] = (n_max, z_min, z_max)
+    per_gen[key] = (n_max, z_min, z_max)
     return z_min, z_max
 
 

@@ -5,7 +5,7 @@ The zero counts of its length-n factors fill the whole interval
 at a guaranteed rate once n >= 132 * 5^(C-4).  From the drift one gets, for
 each coprime weight pair (a, b), an explicit bound M(a,b) above which every
 integer is a factor value, and the finite complement below the bound is
-computed exactly by scanning envelopes up to r(a,b) = ceil(M / min(a,b)).
+computed exactly from the envelopes up to r(a,b) = ceil(M / min(a,b)).
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ __all__ = [
 ]
 
 #: Morphism power whose images cover all factor lengths used by the table
-#: sweep (5^7 = 78125 exceeds every r(a,b) there).
+#: sweep (5^7 = 78125 exceeds every r(a,b) there); the envelope table does
+#: not depend on it, only the length cap does.
 COVER_POWER = 7
 
 BASE_CASE_MAX_RANGE = (29, 145)
@@ -75,16 +76,9 @@ class BaseCaseReport:
     passed: bool
 
 
-def phi_envelope_table(n_max: int, power: int = COVER_POWER):
+def phi_envelope_table(n_max: int):
     """Shared (z_min, z_max) envelope of the morphic word for 1..n_max."""
-    return zero_envelope_table(WORDS["phi"], n_max, MorphicCover(power))
-
-
-def _min_cover_power(n: int) -> int:
-    t = 1
-    while 5**t < n:
-        t += 1
-    return t
+    return zero_envelope_table(WORDS["phi"], n_max)
 
 
 def verify_phi_base_case(direction: str) -> BaseCaseReport:
@@ -100,7 +94,7 @@ def verify_phi_base_case(direction: str) -> BaseCaseReport:
         lo, hi = BASE_CASE_MIN_RANGE
     else:
         raise ValueError("direction must be 'max' or 'min'")
-    z_min, z_max = phi_envelope_table(hi, _min_cover_power(hi))
+    z_min, z_max = phi_envelope_table(hi)
     results = {}
     for n in range(lo, hi + 1):
         if direction == "max":
@@ -119,7 +113,7 @@ def verify_pvects_window(n: int, C: int) -> bool:
     params = PhiBoundParams(C)
     if n < params.N_C:
         raise ValueError(f"n={n} is below the guaranteed window start {params.N_C}")
-    z_min, z_max = phi_envelope_table(n, _min_cover_power(n))
+    z_min, z_max = phi_envelope_table(n)
     third = n // 3
     return int(z_min[n - 1]) <= third - C and int(z_max[n - 1]) >= third + C
 
@@ -155,14 +149,14 @@ def table1(pairs=None) -> list[Table1Row]:
     """Recompute the full complement table for the morphic word.
 
     For each pair: bound = ceil(M(a,b)), complement of the value set below
-    the bound using envelopes up to r(a,b), scanned on the shared power-7
-    cover.  Rows come back in the order given (reference order by default).
+    the bound using envelopes up to r(a,b), from one shared envelope table.
+    Rows come back in the order given (reference order by default).
     """
     if pairs is None:
         pairs = TABLE1_PAIRS
     bounds = [ab_bound(a, b) for a, b in pairs]
     phi = WORDS["phi"]
-    # One shared envelope scan covers every row.
+    # One shared envelope table covers every row.
     phi_envelope_table(max(bd.r for bd in bounds))
     rows = []
     for bd in bounds:

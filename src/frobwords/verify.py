@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from . import frobenius, golden, morphic, ternary, words
+from . import factors, frobenius, golden, morphic, ternary, words
 from .factors import (
     MorphicCover,
     ParikhVector,
@@ -66,6 +67,13 @@ __all__ = [
 ]
 
 _PF, _FIB, _PHI, _T = WORDS["pf"], WORDS["fib"], WORDS["phi"], WORDS["t"]
+
+#: The one reference erratum in table 1: the reference records 244 as the
+#: bound for (3,1), while the bound formula gives, with C = 4,
+#: M = max(5 * 3, 5/3 * (132 + |3 - 1|)) = 670/3, so ceil(M) = 224.
+ERRATUM_PAIR = (3, 1)
+ERRATUM_REFERENCE = 244
+ERRATUM_FORMULA = math.ceil(Fraction(5, 3) * (132 + 2))
 
 #: Triples exercised by the value-formula oracle: most of the cofinite
 #: table plus a known-infinite triple and a large-weight one.
@@ -259,6 +267,14 @@ def _pf_checks(quick: bool) -> list[CheckResult]:
 
 def _phi_checks(quick: bool) -> list[CheckResult]:
     out = []
+    power = 4 if quick else 6
+    z_min, z_max = morphic.phi_envelope_table(5**power)
+    scan_min, scan_max = factors._scan_envelope_table(
+        _PHI, 5**power, MorphicCover(power))
+    out.append(CheckResult(
+        "phi", f"envelope recursion equals the cover scan to 5^{power}",
+        bool((z_min == scan_min).all() and (z_max == scan_max).all())))
+
     for direction in ("max", "min"):
         report = morphic.verify_phi_base_case(direction)
         out.append(CheckResult(
@@ -315,14 +331,15 @@ def _phi_checks(quick: bool) -> list[CheckResult]:
     comp_ok = all(gold[(r.a, r.b)][1] == r.complement for r in rows)
     out.append(CheckResult(
         "phi", f"reference complements for {len(rows)} weight pairs", comp_ok))
-    bad = [(r.a, r.b, r.ceil_M, gold[(r.a, r.b)][0]) for r in rows
-           if r.ceil_M != gold[(r.a, r.b)][0]]
+    mismatches = [(r.a, r.b) for r in rows if r.ceil_M != gold[(r.a, r.b)][0]]
+    erratum_bound = next(r.ceil_M for r in rows if (r.a, r.b) == ERRATUM_PAIR)
     out.append(CheckResult(
         "phi", f"reference bound column for {len(rows)} weight pairs",
-        not bad,
-        ("known mismatch: " + ", ".join(
-            f"({a},{b}) computed {c} reference {g}" for a, b, c, g in bad))
-        if bad else ""))
+        mismatches == [ERRATUM_PAIR] and erratum_bound == ERRATUM_FORMULA
+        and gold[ERRATUM_PAIR][0] == ERRATUM_REFERENCE,
+        f"{len(rows) - len(mismatches)}/{len(rows)} equal the reference; "
+        f"(3,1): formula {erratum_bound}, reference erratum "
+        f"{gold[ERRATUM_PAIR][0]}"))
 
     boundary_ok = True
     needed = max(

@@ -141,6 +141,16 @@ class TestTables:
 
 
 class TestVerifyCommand:
+    def test_quick_phi_suite(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "phi", "--quick",
+                           "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["summary"]["failed"] == 0
+        bound_row = next(r for r in doc["rows"]
+                         if r["check"].startswith("reference bound column"))
+        assert "reference erratum 244" in bound_row["details"]
+
     def test_quick_ternary_suite(self, capsys):
         code, out, err = run(capsys, "verify", "--suite", "ternary", "--quick",
                              "--format", "json")
@@ -171,11 +181,3 @@ class TestDeterminism:
                         "--format", "json", "--timestamps")
         assert "timestamp" in json.loads(out)
 
-    def test_thread_env_var_keeps_output_identical(self, capsys, monkeypatch):
-        argv = ["tables", "--which", "2", "--format", "csv"]
-        main(list(argv))
-        serial = capsys.readouterr().out
-        monkeypatch.setenv("FROBWORDS_THREADS", "4")
-        main(list(argv))
-        threaded = capsys.readouterr().out
-        assert serial == threaded

@@ -1,9 +1,11 @@
 """Factor scanning: Parikh sets, envelopes, balance, occurrence residues."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from frobwords.factors import (
+    _length2_factors,
+    _scan_envelope_table,
     ExplicitPrefix,
     FactorNotFoundError,
     MorphicCover,
@@ -19,9 +21,30 @@ from frobwords.factors import (
     zero_envelope,
     zero_envelope_table,
 )
-from frobwords.words import ConfigurationError, FiniteWord, WORDS
+from frobwords.words import (
+    ConfigurationError,
+    FiniteWord,
+    MorphicFixedPoint,
+    Morphism,
+    WORDS,
+)
 
 PF, FIB, PHI, T = WORDS["pf"], WORDS["fib"], WORDS["phi"], WORDS["t"]
+
+# Uniform binary morphisms prolongable on the seed 0.
+TEST_MORPHISMS = [
+    ("01", "10"),        # Thue-Morse
+    ("01", "00"),        # period doubling: 11 is not a factor
+    ("001", "110"),
+    ("0110", "1001"),
+    ("011", "100"),      # fewer zeros in the image of 0 than of 1
+    ("01100", "10011"),
+]
+
+
+def fixed_point(img0: str, img1: str, seed: int = 0) -> MorphicFixedPoint:
+    m = Morphism([FiniteWord.from_string(img0, 2), FiniteWord.from_string(img1, 2)])
+    return MorphicFixedPoint(m, seed, family="test")
 
 
 class TestParikh:
@@ -70,6 +93,9 @@ class TestParikhSet:
     def test_morphic_cover_bounds(self):
         with pytest.raises(ValueError):
             parikh_set(PHI, 26, MorphicCover(2))  # 26 > 5^2
+        zero_envelope_table(PHI, 200, MorphicCover(4))
+        with pytest.raises(ValueError):
+            zero_envelope_table(PHI, 26, MorphicCover(2))  # even when cached
         with pytest.raises(ConfigurationError):
             parikh_set(PF, 4, MorphicCover(3))
 
@@ -119,10 +145,50 @@ class TestZeroEnvelope:
             zero_envelope(T, 3)
 
     def test_table_matches_per_length(self):
-        z_min, z_max = zero_envelope_table(PHI, 30, MorphicCover(3))
-        for n in (1, 3, 17, 30):
-            env = zero_envelope(PHI, n, MorphicCover(3))
-            assert (int(z_min[n - 1]), int(z_max[n - 1])) == (env.z_min, env.z_max)
+        for power, lengths in (
+            (3, (1, 3, 17, 30)),
+            (5, range(1, 5**5 + 1)),
+            (7, (*range(3126, 18702, 997), 15625, 15626, 18701, 18702)),
+        ):
+            z_min, z_max = zero_envelope_table(PHI, max(lengths), MorphicCover(power))
+            for n in lengths:
+                env = zero_envelope(PHI, n, MorphicCover(power))
+                assert (int(z_min[n - 1]), int(z_max[n - 1])) == (
+                    env.z_min, env.z_max), n
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda ell: st.tuples(
+        st.lists(st.sampled_from("01"), min_size=ell - 1, max_size=ell - 1),
+        st.lists(st.sampled_from("01"), min_size=ell, max_size=ell),
+        st.integers(0, 1),
+    )))
+    @example((list("1"), list("10"), 0))       # Thue-Morse
+    @example((list("11"), list("100"), 0))     # z0 < z1
+    @example((list("1"), list("11"), 1))       # the fixed point 111...
+    @example((list("01"), list("100"), 1))     # 1 -> 101, 0 -> 100
+    def test_recursion_equals_cover_scan(self, draw):
+        tail, other, seed = draw
+        images = ["", ""]
+        images[seed] = str(seed) + "".join(tail)
+        images[1 - seed] = "".join(other)
+        g = fixed_point(*images, seed=seed)
+        ell = len(images[0])
+        power = 1
+        while ell ** (power + 1) <= 300:
+            power += 1
+        n = ell**power
+        z_min, z_max = zero_envelope_table(g, n, MorphicCover(power))
+        scan_min, scan_max = _scan_envelope_table(g, n, MorphicCover(power))
+        assert z_min.tolist() == scan_min.tolist()
+        assert z_max.tolist() == scan_max.tolist()
+
+    def test_length2_factors_by_closure(self):
+        assert _length2_factors(PHI.morphism, 0) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        for images in TEST_MORPHISMS:
+            g = fixed_point(*images)
+            prefix = g.prefix_array(20_000)
+            scanned = set(zip(prefix[:-1].tolist(), prefix[1:].tolist()))
+            assert _length2_factors(g.morphism, 0) == sorted(scanned)
 
     def test_envelope_interval_matches_parikh_set(self):
         # zero counts of the built-in binary words fill their envelope
