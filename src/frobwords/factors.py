@@ -14,8 +14,16 @@ are scanned and why that is enough:
   double it until the answer stops changing across a doubling, and fail
   loudly if the cap is reached first.
 
-All scans are numpy passes over letter-count prefix sums; nothing here
-depends on floating point.
+Every scan is one window kernel, ``_window_scan``: prefix sums once per
+covering string, then one subtraction per window length.  It yields the
+zero-count extrema of a binary word and the distinct (ones, twos) pairs of
+a ternary one.  Binary Parikh sets need no more than the extrema: moving a
+length-n window one step changes its zero count by at most 1, so the zero
+counts over one string, and over all factors of an infinite word, fill the
+interval between them.  A source either scans one prefix or, as a morphic
+cover, sees exactly the factors, so the Parikh set at n is the zero envelope
+at n, and a table of them is unchanged across a doubling exactly when the
+envelope table is.  Nothing here depends on floating point.
 """
 
 from __future__ import annotations
@@ -264,45 +272,65 @@ def _count_prefix_sums(arr: np.ndarray, letter: int) -> np.ndarray:
     return out
 
 
-def _distinct_zero_counts(strings: list[np.ndarray], n: int) -> tuple[int, ...]:
-    seen = np.zeros(n + 1, dtype=bool)
-    for arr in strings:
-        if len(arr) < n:
-            continue
-        z = _count_prefix_sums(arr, 0)
-        seen[z[n:] - z[:-n]] = True
-    return tuple(np.flatnonzero(seen).tolist())
+def _window_scan(strings: list[np.ndarray], lengths: Iterable[int], alphabet_size: int):
+    """The one window kernel.  For each n in lengths, in order, yield the
+    (least, most) zero count over the length-n windows of all strings
+    (binary), or the sorted distinct (ones, twos) count pairs over them
+    (ternary).  Strings shorter than n are skipped.
 
-
-def _distinct_pair_counts(strings: list[np.ndarray], n: int) -> tuple[tuple[int, int], ...]:
-    # Distinct (count of letter 1, count of letter 2) pairs over all windows.
-    pairs: set[tuple[int, int]] = set()
-    for arr in strings:
-        if len(arr) < n:
-            continue
-        c1 = _count_prefix_sums(arr, 1)
-        c2 = _count_prefix_sums(arr, 2)
-        d1 = c1[n:] - c1[:-n]
-        d2 = c2[n:] - c2[:-n]
-        lo1 = int(d1.min())
-        spread = int(d1.max()) - lo1
-        # Scatter on (ones-count offset, twos-count) codes; the ones counts
-        # of a fixed window length sit in a narrow band, so the code table
-        # stays small even for long windows.
-        codes = (d1 - lo1) * np.int32(n + 1) + d2
-        seen = np.zeros((spread + 1) * (n + 1), dtype=bool)
-        seen[codes] = True
-        for c in np.flatnonzero(seen):
-            pairs.add((int(c) // (n + 1) + lo1, int(c) % (n + 1)))
-    return tuple(sorted(pairs))
-
-
-def _sorted_parikhs(g: WordGenerator, distinct, n: int) -> tuple[ParikhVector, ...]:
-    if g.alphabet_size == 2:
-        vecs = [ParikhVector((z, n - z)) for z in distinct]
+    Prefix sums are built once per string; each length then costs one
+    subtraction per string into a reused buffer.  A ternary prefix sum is
+    the single code ones*(N+1) + twos of a string of length N, so one
+    difference gives both counts of a window in base N+1; below N = 2**31
+    no code overflows int64.
+    """
+    if alphabet_size == 2:
+        sums = [_count_prefix_sums(arr, 0) for arr in strings]
+    elif alphabet_size == 3:
+        sums = []
+        for arr in strings:
+            code = np.zeros(len(arr) + 1, dtype=np.int64)
+            weights = np.array([0, len(arr) + 1, 1], dtype=np.int64)
+            np.cumsum(weights[arr], out=code[1:])
+            sums.append(code)
     else:
-        vecs = [ParikhVector((n - c1 - c2, c1, c2)) for c1, c2 in distinct]
-    return tuple(sorted(vecs))
+        raise ValueError("only alphabets of size 2 and 3 are supported")
+    buf = np.empty(max(len(s) for s in sums), dtype=sums[0].dtype)
+    for n in lengths:
+        extrema, pairs = [], set()
+        for s in sums:
+            windows = len(s) - n
+            if windows < 1:
+                continue
+            d = np.subtract(s[n:], s[:windows], out=buf[:windows])
+            lo, hi = int(d.min()), int(d.max())
+            extrema.append((lo, hi))
+            if alphabet_size == 2:
+                continue
+            if hi - lo < 4 * windows:
+                # Scatter the codes: a balanced word's codes at one length
+                # span about one unit of N+1.
+                seen = np.zeros(hi - lo + 1, dtype=bool)
+                seen[np.subtract(d, lo, out=d)] = True
+                codes = np.flatnonzero(seen) + lo
+            else:
+                codes = np.unique(d)
+            ones, twos = np.divmod(codes, len(s))
+            pairs.update(zip(ones.tolist(), twos.tolist()))
+        if not extrema:
+            raise ValueError(f"no covering string long enough for n={n}")
+        if alphabet_size == 2:
+            yield min(lo for lo, _ in extrema), max(hi for _, hi in extrema)
+        else:
+            yield tuple(sorted(pairs))
+
+
+def _binary_parikhs(n: int, z_min: int, z_max: int) -> tuple[ParikhVector, ...]:
+    return tuple(ParikhVector((z, n - z)) for z in range(z_min, z_max + 1))
+
+
+def _ternary_parikhs(n: int, pairs) -> tuple[ParikhVector, ...]:
+    return tuple(sorted(ParikhVector((n - c1 - c2, c1, c2)) for c1, c2 in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -313,60 +341,44 @@ def parikh_set(g: WordGenerator, n: int, src: FactorSource | None = None):
     """All Parikh vectors of length-n factors discoverable under src.
 
     Returns a lexicographically sorted tuple of ParikhVector so comparisons
-    and serialized output are deterministic.
+    and serialized output are deterministic.  For a binary word this is the
+    zero envelope at n read as an interval (see the module docstring).
     """
     if src is None:
         src = default_source(g, n)
     if g.alphabet_size == 2:
-        scan = lambda strings: _distinct_zero_counts(strings, n)
-    elif g.alphabet_size == 3:
-        scan = lambda strings: _distinct_pair_counts(strings, n)
-    else:
+        env = zero_envelope(g, n, src)
+        return _binary_parikhs(n, env.z_min, env.z_max)
+    if g.alphabet_size != 3:
         raise ValueError("only alphabets of size 2 and 3 are supported")
-    return _sorted_parikhs(g, _scan_source(g, n, src, scan), n)
+    pairs = _scan_source(g, n, src, lambda s: next(_window_scan(s, [n], 3)))
+    return _ternary_parikhs(n, pairs)
 
 
 def parikh_set_table(g: WordGenerator, n_max: int, src: FactorSource | None = None):
     """parikh_set for every n in 1..n_max, stabilized jointly.
 
     Under StabilizedDoubling the *whole table* must be unchanged across a
-    doubling, so one scan budget covers the full sweep.  Returns a list
+    doubling, so one scan budget covers the full sweep.  A binary table is
+    read off zero_envelope_table and shares its cache.  Returns a list
     indexed by n-1.
     """
     if src is None:
         src = default_source(g, n_max)
     if g.alphabet_size == 2:
-        scan = lambda strings: tuple(
-            _distinct_zero_counts(strings, n) for n in range(1, n_max + 1)
-        )
-    elif g.alphabet_size == 3:
-        scan = lambda strings: tuple(
-            _distinct_pair_counts(strings, n) for n in range(1, n_max + 1)
-        )
-    else:
+        z_min, z_max = zero_envelope_table(g, n_max, src)
+        return [_binary_parikhs(n, lo, hi) for n, lo, hi in
+                zip(range(1, n_max + 1), z_min.tolist(), z_max.tolist())]
+    if g.alphabet_size != 3:
         raise ValueError("only alphabets of size 2 and 3 are supported")
-    table = _scan_source(g, n_max, src, scan)
-    return [_sorted_parikhs(g, row, n) for n, row in enumerate(table, start=1)]
+    table = _scan_source(
+        g, n_max, src, lambda s: tuple(_window_scan(s, range(1, n_max + 1), 3)))
+    return [_ternary_parikhs(n, row) for n, row in enumerate(table, start=1)]
 
 
 def abelian_complexity(g: WordGenerator, n: int, src: FactorSource | None = None) -> int:
     """Number of distinct Parikh vectors among length-n factors."""
     return len(parikh_set(g, n, src))
-
-
-def _envelope_scan(strings: list[np.ndarray], n: int) -> tuple[int, int]:
-    z_min, z_max = None, None
-    for arr in strings:
-        if len(arr) < n:
-            continue
-        z = _count_prefix_sums(arr, 0)
-        d = z[n:] - z[:-n]
-        lo, hi = int(d.min()), int(d.max())
-        z_min = lo if z_min is None else min(z_min, lo)
-        z_max = hi if z_max is None else max(z_max, hi)
-    if z_min is None:
-        raise ValueError("no covering string long enough for the window")
-    return z_min, z_max
 
 
 def zero_envelope(g: WordGenerator, n: int, src: FactorSource | None = None) -> ZeroEnvelope:
@@ -375,7 +387,7 @@ def zero_envelope(g: WordGenerator, n: int, src: FactorSource | None = None) -> 
         raise ValueError("zero envelopes are defined for binary words")
     if src is None:
         src = default_source(g, n)
-    z_min, z_max = _scan_source(g, n, src, lambda s: _envelope_scan(s, n))
+    z_min, z_max = _scan_source(g, n, src, lambda s: next(_window_scan(s, [n], 2)))
     return ZeroEnvelope(n, z_min, z_max)
 
 
@@ -383,33 +395,15 @@ def _scan_envelope_table(
     g: WordGenerator, n_max: int, src: FactorSource
 ) -> tuple[np.ndarray, np.ndarray]:
     """(z_min, z_max) for lengths 1..n_max by scanning every window of every
-    covering string src demands, once per length; uncached.
+    covering string src demands; uncached.
 
     This is the table under doubling and explicit prefixes, and the
     reference the desubstitution recursion is checked against.
     """
-
-    def scan(strings: list[np.ndarray]):
-        zs = [_count_prefix_sums(arr, 0) for arr in strings]
-        mins = np.empty(n_max, dtype=np.int64)
-        maxs = np.empty(n_max, dtype=np.int64)
-        for n in range(1, n_max + 1):
-            lo, hi = None, None
-            for z in zs:
-                if len(z) - 1 < n:
-                    continue
-                d = z[n:] - z[:-n]
-                m, M = int(d.min()), int(d.max())
-                lo = m if lo is None else min(lo, m)
-                hi = M if hi is None else max(hi, M)
-            if lo is None:
-                raise ValueError(f"no covering string long enough for n={n}")
-            mins[n - 1], maxs[n - 1] = lo, hi
-        return mins.tobytes(), maxs.tobytes()
-
-    mins_b, maxs_b = _scan_source(g, n_max, src, scan)
-    return (np.frombuffer(mins_b, dtype=np.int64).copy(),
-            np.frombuffer(maxs_b, dtype=np.int64).copy())
+    table = _scan_source(
+        g, n_max, src, lambda s: tuple(_window_scan(s, range(1, n_max + 1), 2)))
+    z_min, z_max = np.array(table, dtype=np.int64).T
+    return z_min.copy(), z_max.copy()
 
 
 def _desubstitution_envelopes(

@@ -126,14 +126,27 @@ def classical_nonrepresentable(a: int, b: int) -> tuple:
     return tuple(int(v) for v in np.flatnonzero(~reach) if v > 0)
 
 
-def _substitute_rows(mat: np.ndarray, start: str) -> np.ndarray:
-    """Alternate-zero substitution applied to each row of a 2D binary array."""
-    zeros = mat == 0
-    ordinal = np.cumsum(zeros, axis=1)
-    target = (ordinal % 2 == 0) if start == "second" else (ordinal % 2 == 1)
-    out = mat.copy()
-    out[zeros & target] = 2
-    return out
+def _fills_envelope(g: WordGenerator, n_max: int, src) -> bool:
+    """True if, at every length up to n_max, the zero counts found by
+    marking every window of the strings src demands fill the interval of
+    the envelope table.  The reference for the interval lemma behind
+    ``factors.parikh_set`` of binary words; under doubling it stabilizes on
+    the marked sets themselves."""
+
+    def scan(strings):
+        zs = [factors._count_prefix_sums(arr, 0) for arr in strings]
+        table = []
+        for n in range(1, n_max + 1):
+            seen = np.zeros(n + 1, dtype=bool)
+            for z in zs:
+                if len(z) > n:
+                    seen[z[n:] - z[:-n]] = True
+            table.append(tuple(np.flatnonzero(seen).tolist()))
+        return tuple(table)
+
+    z_min, z_max = zero_envelope_table(g, n_max, src)
+    return factors._scan_source(g, n_max, src, scan) == tuple(
+        tuple(range(lo, hi + 1)) for lo, hi in zip(z_min.tolist(), z_max.tolist()))
 
 
 def _row_parikhs(mat: np.ndarray) -> set:
@@ -220,14 +233,8 @@ def _pf_checks(quick: bool) -> list[CheckResult]:
                            bool(nope_ok)))
 
     n_env = 128 if quick else 512
-    z_min, z_max = zero_envelope_table(_PF, n_env, src)
-    interval_ok = all(
-        {v[0] for v in table[n - 1]}
-        == set(range(int(z_min[n - 1]), int(z_max[n - 1]) + 1))
-        for n in range(1, n_env + 1)
-    )
     out.append(CheckResult("pf", f"zero counts fill the envelope to {n_env}",
-                           interval_ok))
+                           _fills_envelope(_PF, n_env, src)))
 
     out.append(CheckResult("pf", "not 1-balanced by length 16",
                            not is_balanced(_PF, 16, 1, src)))
@@ -301,14 +308,8 @@ def _phi_checks(quick: bool) -> list[CheckResult]:
                            scale_ok))
 
     n_int = 200 if quick else 2000
-    z_min, z_max = morphic.phi_envelope_table(n_int)
-    interval_ok = all(
-        {v[0] for v in parikh_set(_PHI, n, MorphicCover(5))}
-        == set(range(int(z_min[n - 1]), int(z_max[n - 1]) + 1))
-        for n in range(1, n_int + 1)
-    )
     out.append(CheckResult("phi", f"zero counts fill the envelope to {n_int}",
-                           interval_ok))
+                           _fills_envelope(_PHI, n_int, MorphicCover(5))))
 
     top = 5 if quick else 6
     z_min, z_max = morphic.phi_envelope_table(5**top)
@@ -410,8 +411,9 @@ def _ternary_checks(quick: bool) -> list[CheckResult]:
     for n in range(1, n_ll + 1):
         t_set = set(parikh_set(_T, n))
         mat = _fib_factor_matrix(n)
-        images = _row_parikhs(_substitute_rows(mat, "second")) | _row_parikhs(
-            _substitute_rows(mat, "first"))
+        images = _row_parikhs(
+            words._replace_alternate_zeros_array(mat, "second")) | _row_parikhs(
+            words._replace_alternate_zeros_array(mat, "first"))
         ok_lemma_l &= t_set == images
     out.append(CheckResult(
         "ternary",

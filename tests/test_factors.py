@@ -1,11 +1,14 @@
 """Factor scanning: Parikh sets, envelopes, balance, occurrence residues."""
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from frobwords import verify
 from frobwords.factors import (
     _length2_factors,
     _scan_envelope_table,
+    _window_scan,
     ExplicitPrefix,
     FactorNotFoundError,
     MorphicCover,
@@ -113,6 +116,41 @@ class TestParikhSet:
             assert table[n - 1] == parikh_set(T, n)
 
 
+def distinct_window_counts(strings, n, k):
+    """Brute force: the distinct length-n windows, reduced to zero-count
+    extrema (k = 2) or to sorted (ones, twos) pairs (k = 3)."""
+    rows = np.concatenate([
+        np.unique(np.lib.stride_tricks.sliding_window_view(arr, n), axis=0)
+        for arr in strings if len(arr) >= n])
+    if k == 2:
+        zeros = (rows == 0).sum(axis=1)
+        return int(zeros.min()), int(zeros.max())
+    return tuple(sorted({(int((r == 1).sum()), int((r == 2).sum())) for r in rows}))
+
+
+class TestWindowKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda k: st.tuples(
+        st.just(k),
+        st.lists(st.lists(st.integers(0, k - 1), min_size=1, max_size=60),
+                 min_size=1, max_size=3),
+        st.data(),
+    )))
+    def test_matches_distinct_windows(self, draw):
+        k, lists, data = draw
+        strings = [np.array(xs, dtype=np.uint8) for xs in lists]
+        longest = max(len(arr) for arr in strings)
+        n = data.draw(st.one_of(st.just(longest), st.integers(1, longest)))
+        # a long length first, then a short one, through the reused buffer
+        assert list(_window_scan(strings, [n, 1], k)) == [
+            distinct_window_counts(strings, n, k),
+            distinct_window_counts(strings, 1, k)]
+
+    def test_too_short(self):
+        with pytest.raises(ValueError):
+            next(_window_scan([np.zeros(3, dtype=np.uint8)], [4], 2))
+
+
 class TestAbelianComplexity:
     @pytest.mark.parametrize("k", range(1, 11))
     def test_pf_powers_of_two(self, k):
@@ -191,13 +229,15 @@ class TestZeroEnvelope:
             assert _length2_factors(g.morphism, 0) == sorted(scanned)
 
     def test_envelope_interval_matches_parikh_set(self):
-        # zero counts of the built-in binary words fill their envelope
+        # zero counts of the built-in binary words, marked window by window,
+        # fill their envelope, and the Parikh sets are read from it
         for g in (PF, FIB, PHI):
             src = MorphicCover(4) if g is PHI else StabilizedDoubling()
+            assert verify._fills_envelope(g, 64, src)
             z_min, z_max = zero_envelope_table(g, 64, src)
             for n in (1, 5, 21, 64):
-                zeros = {v[0] for v in parikh_set(g, n, src)}
-                assert zeros == set(range(int(z_min[n - 1]), int(z_max[n - 1]) + 1))
+                zeros = [v[0] for v in parikh_set(g, n, src)]
+                assert zeros == list(range(int(z_min[n - 1]), int(z_max[n - 1]) + 1))
 
 
 class TestDeltaStats:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from frobwords.words import (
+    _replace_alternate_zeros_array,
     ConfigurationError,
     FiniteWord,
     Morphism,
@@ -174,6 +175,10 @@ class TestAlternateZeros:
         chi = FiniteWord.from_string("01010101")
         assert str(replace_alternate_zeros(chi, "second")) == "01210121"
         assert str(replace_alternate_zeros(chi, "first")) == "21012101"
+        # each row of a matrix counts its own zeros
+        rows = np.array([[0, 1, 0, 1, 0], [1, 0, 0, 0, 1]], dtype=np.uint8)
+        assert _replace_alternate_zeros_array(rows, "second").tolist() == [
+            [0, 1, 2, 1, 0], [1, 0, 2, 0, 1]]
 
     def test_fib_17_image(self):
         assert str(replace_alternate_zeros(fibonacci_prefix(17))) == T_17
