@@ -280,17 +280,21 @@ def _window_scan(strings: list[np.ndarray], lengths: Iterable[int], alphabet_siz
 
     Prefix sums are built once per string; each length then costs one
     subtraction per string into a reused buffer.  A ternary prefix sum is
-    the single code ones*(N+1) + twos of a string of length N, so one
-    difference gives both counts of a window in base N+1; below N = 2**31
-    no code overflows int64.
+    the single code ones*B + twos with B = max(lengths) + 1, so one
+    difference gives both counts of a window in base B, and the distinct
+    codes are marked in a scatter over at most (n+1)*B entries.  Codes stay
+    below N*B for strings of length N; below N, B = 2**31 they cannot
+    overflow int64.
     """
+    lengths = list(lengths)
+    base = max(lengths, default=0) + 1
     if alphabet_size == 2:
         sums = [_count_prefix_sums(arr, 0) for arr in strings]
     elif alphabet_size == 3:
+        weights = np.array([0, base, 1], dtype=np.int64)
         sums = []
         for arr in strings:
             code = np.zeros(len(arr) + 1, dtype=np.int64)
-            weights = np.array([0, len(arr) + 1, 1], dtype=np.int64)
             np.cumsum(weights[arr], out=code[1:])
             sums.append(code)
     else:
@@ -307,15 +311,9 @@ def _window_scan(strings: list[np.ndarray], lengths: Iterable[int], alphabet_siz
             extrema.append((lo, hi))
             if alphabet_size == 2:
                 continue
-            if hi - lo < 4 * windows:
-                # Scatter the codes: a balanced word's codes at one length
-                # span about one unit of N+1.
-                seen = np.zeros(hi - lo + 1, dtype=bool)
-                seen[np.subtract(d, lo, out=d)] = True
-                codes = np.flatnonzero(seen) + lo
-            else:
-                codes = np.unique(d)
-            ones, twos = np.divmod(codes, len(s))
+            seen = np.zeros(hi - lo + 1, dtype=bool)
+            seen[np.subtract(d, lo, out=d)] = True
+            ones, twos = np.divmod(np.flatnonzero(seen) + lo, base)
             pairs.update(zip(ones.tolist(), twos.tolist()))
         if not extrema:
             raise ValueError(f"no covering string long enough for n={n}")
