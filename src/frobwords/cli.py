@@ -4,7 +4,8 @@ reproduction, and the claim-verification suites.
 Output goes to stdout in one of four formats (text, json, csv, markdown);
 progress and diagnostics go to stderr so the data stream stays pipeable.
 Identical invocations produce byte-identical output unless --timestamps is
-given.
+given.  Exit codes: 0 success, 1 a failed check, row or table diff, 2 a
+usage or budget error, 3 an internal invariant failure.
 """
 
 from __future__ import annotations
@@ -25,14 +26,10 @@ from .factors import (
 )
 from .frobenius import Weights, complement_below
 from .morphic import COVER_POWER, ab_bound
-from .ternary import Half, decide_cofinite, offsets
+from .ternary import Half, offsets
 from .words import WORDS
 
 _FORMATS = ("text", "json", "csv", "markdown")
-
-
-def half_str(h: Half) -> str:
-    return str(h)
 
 
 def half_json(h: Half) -> dict:
@@ -165,33 +162,25 @@ def _cmd_complement(args) -> int:
         print("error: the ternary word needs exactly three weights",
               file=sys.stderr)
         return 2
-    decision = decide_cofinite(weights)
-    tab = offsets(weights)
+    decision = ternary.decide_cofinite(weights)
+    k = offsets(weights).k
     if decision.cofinite:
-        result = {"outcome": "finite",
-                  "complement": list(decision.complement),
-                  "window_length": decision.window_length,
-                  "max_offset": half_json(tab.k)}
-        rows = [{"weights": _set_str(weights), "outcome": "finite",
-                 "complement": _set_str(decision.complement),
-                 "max_offset": half_str(tab.k)}]
-        text = _set_str(decision.complement)
+        outcome = "finite"
+        result = {"complement": list(decision.complement)}
+        shown = text = _set_str(decision.complement)
     else:
-        w = decision.witness
-        result = {"outcome": "infinite",
-                  "witness": {
-                      "factor_start_index": w.factor_start_index,
-                      "parity": w.parity,
-                      "missed_value": w.missed_value,
-                      "factor": "".join(str(b) for b in w.factor_bits)},
-                  "window_length": decision.window_length,
-                  "max_offset": half_json(tab.k)}
-        rows = [{"weights": _set_str(weights), "outcome": "infinite",
-                 "complement": f"infinite (misses {w.missed_value} at parity "
-                               f"{w.parity} forever)",
-                 "max_offset": half_str(tab.k)}]
+        outcome, w = "infinite", decision.witness
+        result = {"witness": {
+            "factor_start_index": w.factor_start_index, "parity": w.parity,
+            "missed_value": w.missed_value,
+            "factor": "".join(str(b) for b in w.factor_bits)}}
+        shown = f"infinite (misses {w.missed_value} at parity {w.parity} forever)"
         text = (f"infinite: window at {w.factor_start_index} parity {w.parity} "
                 f"misses {w.missed_value}")
+    result = {"outcome": outcome, **result,
+              "window_length": decision.window_length, "max_offset": half_json(k)}
+    rows = [{"weights": _set_str(weights), "outcome": outcome,
+             "complement": shown, "max_offset": str(k)}]
     envelope = _envelope(
         "complement", {"word": "t", "weights": list(weights)},
         {"max_len": decision.window_length + 1,
@@ -339,6 +328,9 @@ def main(argv=None) -> int:
     except (ValueError, StabilizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

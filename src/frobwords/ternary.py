@@ -8,6 +8,9 @@ two-letter sequence F riding on the Fibonacci word, and whether the value
 set misses infinitely many integers reduces to a finite check: slide a
 window of fixed length l over F, and ask whether the window's interval of
 "reachable" integers is fully covered by its semi-images at both parities.
+The windows are the l+2 Fibonacci factors of length l+1, all found by one
+refinement of first-occurrence ids (_fib_factor_starts); their count is the
+certificate.  The direct scan of t that checks the complements is in verify.
 
 Everything is computed in exact half-integer arithmetic (class Half); no
 division and no floats ever enter the decision.
@@ -18,11 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .factors import ParikhVector, StabilizedDoubling, parikh_set_table
+from .factors import ParikhVector
 from .frobenius import Weights
 from .words import WORDS, floor_alpha, floor_phi
 
@@ -412,37 +415,54 @@ def decision_window_length(s) -> int:
     return (2 * numerator + denom - 1) // denom
 
 
+#: Cap, in symbols, on the scanned prefix and on the (L+1)*L symbols of the
+#: length-L factors in a Fibonacci factor enumeration.
+FACTOR_BUDGET = 2**22
+
+
+def _fib_factor_starts(n_max: int) -> tuple:
+    """The scanned Fibonacci prefix ``text`` and, for each length n up to
+    n_max, the ascending 0-based starts of the first occurrences of its n+1
+    factors (the factor at start i is text[i:i+n]).
+
+    The length-n window at j has as id the first position of its factor; the
+    length-(n+1) id at j is the first occurrence of the pair (that id, x[j+n])
+    in one 1-D unique over the code 2*id + letter.  Finding exactly n+1 ids
+    certifies the prefix; fewer double it from 32*n_max.
+    """
+    if n_max < 1:
+        raise ValueError("factor length must be >= 1")
+    if (n_max + 1) * n_max > FACTOR_BUDGET:
+        raise ValueError(
+            f"the {n_max + 1} Fibonacci factors of length {n_max} exceed the "
+            "2^22-symbol enumeration budget")
+    scan = 32 * n_max
+    while True:
+        text = WORDS["fib"].prefix_array(scan)
+        ids, starts = np.zeros(scan + 1, dtype=np.int64), []  # empty windows
+        for n in range(1, n_max + 1):
+            _, first, inverse = np.unique(2 * ids[: scan - n + 1] + text[n - 1 :],
+                                          return_index=True, return_inverse=True)
+            if len(first) != n + 1:
+                break
+            ids = first[inverse]
+            starts.append(np.sort(first))
+        else:
+            return text, starts
+        if len(first) > n + 1 or scan >= FACTOR_BUDGET:
+            raise RuntimeError(
+                f"{len(first)} distinct Fibonacci factors of length {n} in a "
+                f"{scan}-symbol prefix; Sturmian complexity is exactly {n + 1}")
+        scan *= 2
+
+
 @lru_cache(maxsize=None)
 def enumerate_fib_factors(length: int) -> tuple:
     """All distinct length-``length`` factors of the Fibonacci word with their
-    first occurrence index (1-based), in order of first occurrence.
-
-    A Sturmian word has exactly length+1 of them; the scan doubles its
-    prefix from 32*length until that many are found (cap 2^22).
-    """
-    expected = length + 1
-    fib = WORDS["fib"]
-    scan = 32 * length
-    while True:
-        text = fib.prefix_array(scan)
-        windows = np.lib.stride_tricks.sliding_window_view(text, length)
-        _, first = np.unique(windows, axis=0, return_index=True)
-        if len(first) > expected:
-            raise RuntimeError(
-                f"found {len(first)} distinct factors of length {length}; "
-                "Sturmian complexity allows at most length+1"
-            )
-        if len(first) == expected:
-            first = np.sort(first)
-            return tuple(
-                (int(i) + 1, tuple(int(b) for b in windows[i])) for i in first
-            )
-        if scan >= 2**22:
-            raise RuntimeError(
-                f"only {len(first)} of {expected} factors of length {length} "
-                f"within the {scan}-symbol budget"
-            )
-        scan *= 2
+    first occurrence index (1-based), in order of first occurrence."""
+    text, starts = _fib_factor_starts(length)
+    return tuple((int(i) + 1, tuple(text[i : i + length].tolist()))
+                 for i in starts[-1])
 
 
 @lru_cache(maxsize=None)
@@ -450,13 +470,11 @@ def _decide(values: tuple) -> TernaryDecision:
     s = Weights(values)
     tab = offsets(s)
     l = decision_window_length(s)
+    factors = enumerate_fib_factors(l + 1)
     if tab.o1 == _ZERO:
         # Constant F: the odd and even offset triples coincide as sets, so a
-        # single window decides; use the actual prefix.
-        bits = tuple(int(b) for b in WORDS["fib"].prefix_array(l + 1))
-        factors: Iterable = [(1, bits)]
-    else:
-        factors = enumerate_fib_factors(l + 1)
+        # single window decides; use the first factor, the actual prefix.
+        factors = factors[:1]
     for start, bits in factors:
         for parity in (0, 1):
             missed = semi_complement(bits, s, parity)
@@ -468,7 +486,7 @@ def _decide(values: tuple) -> TernaryDecision:
                     factor_bits=bits,
                 )
                 return TernaryDecision(s, False, None, witness, l)
-    complement = _extract_complement(s, l, tab)
+    complement = _extract_complement(s, tab)
     return TernaryDecision(s, True, complement, None, l)
 
 
@@ -480,34 +498,23 @@ def decide_cofinite(s) -> TernaryDecision:
     return _decide(tuple(s))
 
 
-def _extract_complement(s: Weights, l: int, tab: OffsetTable) -> tuple:
-    """List the integers the value set actually misses, once the decision
-    says there are finitely many.
+def _complement_bound(s: Weights) -> int:
+    """B = ceil(m(2l+4)) + ceil(k) + max(S): once the window argument says
+    the complement is finite, every integer above B is a value."""
+    l = decision_window_length(s)
+    return main_term(2 * l + 4, s).ceil() + offsets(s).k.ceil() + max(s)
 
-    Everything above ceil(m(2l+4)) + ceil(k) + max(S) is covered by the
-    window argument, so only [1, B] needs checking; the formula union is
-    cross-checked against a direct stabilized scan of t before returning.
-    """
-    bound = main_term(2 * l + 4, s).ceil() + tab.k.ceil() + max(s)
+
+def _extract_complement(s: Weights, tab: OffsetTable) -> tuple:
+    """The integers in [1, B] that no value formula g_values(n) hits, once
+    the decision says the complement is finite."""
+    bound = _complement_bound(s)
     covered = set()
     n = 1
     while main_term(n, s) - tab.k <= bound:
         covered |= g_values(n, s)
         n += 1
-    formula = tuple(v for v in range(1, bound + 1) if v not in covered)
-
-    max_len = bound // min(s) + 1
-    scanned = set()
-    for row in parikh_set_table(WORDS["t"], max_len, StabilizedDoubling()):
-        for vec in row:
-            scanned.add(vec.dot(s))
-    direct = tuple(v for v in range(1, bound + 1) if v not in scanned)
-    if direct != formula:
-        raise RuntimeError(
-            f"complement mismatch for {tuple(s)}: formulas gave {formula}, "
-            f"direct scan gave {direct}"
-        )
-    return formula
+    return tuple(v for v in range(1, bound + 1) if v not in covered)
 
 
 def finite_complement(s) -> tuple:

@@ -150,28 +150,8 @@ def _fills_envelope(g: WordGenerator, n_max: int, src) -> bool:
 
 
 def _row_parikhs(mat: np.ndarray) -> set:
-    return {
-        ParikhVector(
-            (int((row == 0).sum()), int((row == 1).sum()), int((row == 2).sum()))
-        )
-        for row in mat
-    }
-
-
-def _fib_factor_matrix(n: int) -> np.ndarray:
-    """The n+1 distinct length-n Fibonacci factors, one per row."""
-    scan = 32 * n
-    while True:
-        text = _FIB.prefix_array(scan)
-        win = np.lib.stride_tricks.sliding_window_view(text, n)
-        uniq = np.unique(win, axis=0)
-        if len(uniq) == n + 1:
-            return uniq
-        if len(uniq) > n + 1:
-            raise RuntimeError(f"{len(uniq)} factors of length {n}: not Sturmian")
-        if scan >= 2**22:
-            raise RuntimeError(f"factor enumeration budget exhausted at length {n}")
-        scan *= 2
+    counts = np.stack([(mat == letter).sum(axis=1) for letter in range(3)], axis=1)
+    return {ParikhVector(row) for row in counts.tolist()}
 
 
 def _s_of_array(arr: np.ndarray, s: Weights) -> int:
@@ -407,10 +387,11 @@ def _ternary_checks(quick: bool) -> list[CheckResult]:
                            p[0] - p[2] in (0, 1)))
 
     n_ll = 60 if quick else 500
+    text, fib_starts = ternary._fib_factor_starts(n_ll)
     ok_lemma_l = True
-    for n in range(1, n_ll + 1):
+    for n, starts in enumerate(fib_starts, start=1):
         t_set = set(parikh_set(_T, n))
-        mat = _fib_factor_matrix(n)
+        mat = text[starts[:, None] + np.arange(n)]
         images = _row_parikhs(
             words._replace_alternate_zeros_array(mat, "second")) | _row_parikhs(
             words._replace_alternate_zeros_array(mat, "first"))
@@ -610,6 +591,22 @@ def _ternary_checks(quick: bool) -> list[CheckResult]:
     out.append(CheckResult(
         "ternary", "cofinite triple table reproduced exactly",
         computed == [(w, c) for w, c in golden.TABLE2_GOLDEN]))
+
+    # Values up to the complement bound B come from factors of length at
+    # most B // min(S); longer rows only add values above B.
+    bounds = {s: ternary._complement_bound(Weights(s))
+              for s, _ in golden.TABLE2_GOLDEN}
+    t_rows = parikh_set_table(
+        _T, max(b // min(s) + 1 for s, b in bounds.items()), StabilizedDoubling())
+    scan_ok = True
+    for s, bound in bounds.items():
+        hit = {v.dot(Weights(s)) for row in t_rows for v in row}
+        scan_ok &= ternary.decide_cofinite(s).complement == tuple(
+            v for v in range(1, bound + 1) if v not in hit)
+    out.append(CheckResult(
+        "ternary",
+        f"complements equal a direct scan of t for {len(bounds)} triples",
+        bool(scan_ok)))
     return out
 
 

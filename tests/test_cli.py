@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from frobwords import ternary
 from frobwords.cli import main
+from frobwords.factors import StabilizationError
 
 
 def run(capsys, *argv):
@@ -104,6 +106,30 @@ class TestComplement:
                            "--weights", "2,4,6")
         assert code == 2
         assert "coprime" in err
+
+    def test_t_beyond_enumeration_budget(self, capsys):
+        code, out, err = run(capsys, "complement", "--word", "t",
+                             "--weights", "1,100000,2", "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "2^22-symbol" in err
+
+    @pytest.mark.parametrize("exc, code, prefix", [
+        (RuntimeError, 3, "internal error: "),
+        (StabilizationError, 2, "error: "),
+    ])
+    def test_runtime_error_exit_codes(self, capsys, monkeypatch, exc, code,
+                                      prefix):
+        def broken(weights):
+            raise exc("non-integral factor value 2.5")
+
+        monkeypatch.setattr(ternary, "decide_cofinite", broken)
+        got, out, err = run(capsys, "complement", "--word", "t",
+                            "--weights", "1,1,2")
+        assert got == code
+        assert out == ""
+        assert err == prefix + "non-integral factor value 2.5\n"
 
     def test_pf_not_supported(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -256,6 +256,22 @@ class TestDecision:
             assert all(len(bits) == length for _, bits in factors)
             starts = [s for s, _ in factors]
             assert starts == sorted(starts)
+        # Brute force: the distinct windows of a long prefix, kept in the
+        # order of their first index, 1-based starts included.
+        text = FIB.prefix_array(8000)
+        for length in range(1, 151):
+            windows = np.lib.stride_tricks.sliding_window_view(text, length)
+            first = {}
+            for i, row in enumerate(windows):
+                first.setdefault(row.tobytes(), i)
+            expected = tuple((i + 1, tuple(windows[i].tolist()))
+                             for i in first.values())
+            assert enumerate_fib_factors(length) == expected
+
+    def test_enumeration_budget(self):
+        with pytest.raises(ValueError, match=r"2\^22-symbol"):
+            decide_cofinite((1, 100000, 2))
+        assert decision_window_length((1, 100000, 2)) == 133334
 
     def test_cofinite_examples(self):
         assert decide_cofinite((1, 1, 2)).cofinite
