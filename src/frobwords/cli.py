@@ -162,6 +162,9 @@ def _cmd_complement(args) -> int:
         print("error: the ternary word needs exactly three weights",
               file=sys.stderr)
         return 2
+    if args.bound is not None:
+        print("error: --bound applies only to --word phi", file=sys.stderr)
+        return 2
     decision = ternary.decide_cofinite(weights)
     k = offsets(weights).k
     if decision.cofinite:

@@ -11,6 +11,7 @@ complement computations over bounds near 10^5 into a cheap sweep.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,11 @@ class Weights(tuple):
     with a factor's Parikh vector."""
 
     def __new__(cls, values):
-        values = tuple(int(v) for v in values)
-        if not values or any(v < 1 for v in values):
+        try:
+            values = tuple(map(operator.index, values))
+        except TypeError:  # a float or other non-integral weight
+            values = ()
+        if not values or min(values) < 1:
             raise ValueError("weights must be positive integers")
         return super().__new__(cls, values)
 

@@ -12,15 +12,17 @@ The windows are the l+2 Fibonacci factors of length l+1, all found by one
 refinement of first-occurrence ids (_fib_factor_starts); their count is the
 certificate.  The direct scan of t that checks the complements is in verify.
 
-Everything is computed in exact half-integer arithmetic (class Half); no
-division and no floats ever enter the decision.
+Every half-integer is carried as its doubled int: the kernels sum and
+compare plain ints from one per-triple record (_Triple), and no division
+and no floats ever enter the decision.  Half is the boundary type: the
+public functions return it, and JSON carries it as {"twice": ...}.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from typing import Sequence
 
 import numpy as np
@@ -54,6 +56,7 @@ __all__ = [
 ]
 
 
+@total_ordering
 class Half:
     """Exact scalar with denominator 2, stored as twice its value.
 
@@ -109,29 +112,13 @@ class Half:
     def __abs__(self):
         return Half(abs(self.twice))
 
-    def _cmp_key(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else other.twice
-
     def __eq__(self, other):
-        key = self._cmp_key(other)
-        return NotImplemented if key is NotImplemented else self.twice == key
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else self.twice == other.twice
 
     def __lt__(self, other):
-        key = self._cmp_key(other)
-        return NotImplemented if key is NotImplemented else self.twice < key
-
-    def __le__(self, other):
-        key = self._cmp_key(other)
-        return NotImplemented if key is NotImplemented else self.twice <= key
-
-    def __gt__(self, other):
-        key = self._cmp_key(other)
-        return NotImplemented if key is NotImplemented else self.twice > key
-
-    def __ge__(self, other):
-        key = self._cmp_key(other)
-        return NotImplemented if key is NotImplemented else self.twice >= key
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else self.twice < other.twice
 
     def __hash__(self):
         return hash(self.twice) if self.twice % 2 else hash(self.twice // 2)
@@ -158,14 +145,32 @@ class Half:
         return f"Half({self.twice})"
 
 
-_ZERO = Half(0)
+@dataclass(frozen=True)
+class _Triple:
+    """A validated triple, built once per public call, with the doubled F
+    steps on a Fibonacci 0 and 1 (S0+S2, 2 S1), the doubled offsets o1..o3,
+    e1..e3 and their largest magnitude k, and the window length l."""
+
+    weights: Weights
+    steps: tuple
+    odd: tuple
+    even: tuple
+    k: int
+    l: int
 
 
-def _require_triple(s) -> Weights:
+def _triple(s) -> _Triple:
     s = Weights(s)
     if len(s) != 3:
         raise ValueError("ternary machinery needs exactly three weights")
-    return s
+    s0, s1, s2 = s
+    steps = (s0 + s2, 2 * s1)
+    odd = (s0 - 2 * s1 + s2, s0 - s2, s2 - s0)
+    even = (2 * (s0 - s1), 2 * (s2 - s1), 0)
+    k = max(map(abs, odd + even))
+    # l = ceil(2(k+1) / min step) with k and the step both doubled.
+    l = -(-2 * (k + 2) // min(steps))
+    return _Triple(s, steps, odd, even, k, l)
 
 
 @dataclass(frozen=True)
@@ -194,15 +199,13 @@ class OffsetTable:
 
 def offsets(s) -> OffsetTable:
     """Exact offset table of a weight triple."""
-    s0, s1, s2 = _require_triple(s)
-    o1 = Half(s0 - 2 * s1 + s2)
-    o2 = Half(s0 - s2)
-    o3 = -o2
-    e1 = Half.from_int(s0 - s1)
-    e2 = Half.from_int(s2 - s1)
-    e3 = _ZERO
-    k = max(abs(x) for x in (o1, o2, o3, e1, e2, e3))
-    return OffsetTable(o1, o2, o3, e1, e2, e3, k)
+    t = _triple(s)
+    return OffsetTable(*(Half(x) for x in t.odd + t.even + (t.k,)))
+
+
+def _main_twice(n: int, t: _Triple) -> int:
+    a, b = t.steps
+    return floor_phi(n) * (a - b) - n * (a - 2 * b)
 
 
 def main_term(n: int, s) -> Half:
@@ -210,23 +213,15 @@ def main_term(n: int, s) -> Half:
     (floor(n phi)(S0 - 2 S1 + S2) - n (S0 - 4 S1 + S2)) / 2."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    s0, s1, s2 = _require_triple(s)
-    return Half(floor_phi(n) * (s0 - 2 * s1 + s2) - n * (s0 - 4 * s1 + s2))
-
-
-def _step(bit: int, s: Weights) -> Half:
-    # F value riding on a Fibonacci letter: (S0+S2)/2 on a 0, S1 on a 1.
-    s0, s1, s2 = s
-    return Half(s0 + s2) if bit == 0 else Half.from_int(s1)
+    return Half(_main_twice(n, _triple(s)))
 
 
 def f_sequence(i: int, j: int, s) -> list[Half]:
     """The first-difference sequence F[i..j] of the main terms (inclusive)."""
     if not 1 <= i <= j:
         raise ValueError("need 1 <= i <= j")
-    s = _require_triple(s)
-    bits = WORDS["fib"].prefix_array(j)[i - 1 : j]
-    return [_step(int(b), s) for b in bits]
+    steps = _triple(s).steps
+    return [Half(steps[b]) for b in WORDS["fib"].prefix_array(j)[i - 1 : j]]
 
 
 def mu(n: int) -> int:
@@ -288,38 +283,59 @@ def generating_prefix_parikh(n: int, variant: str) -> ParikhVector:
     return ParikhVector(table[variant])
 
 
+def _values(n: int, t: _Triple) -> set:
+    # The (at most three) integer values at length n, from doubled sums.
+    m, p = _main_twice(n, t), mu(n)
+    (_, o2, o3), (e1, e2, _) = t.odd, t.even
+    out = set()
+    for g in (m + e1 + o3 * p, m + e2 + (o2 - e2) * p, m + o3 * p):
+        if g % 2:
+            raise RuntimeError(f"non-integral factor value {Half(g)} at n={n} "
+                               f"for weights {tuple(t.weights)}")
+        out.add(g // 2)
+    return out
+
+
 def g_values(n: int, s) -> frozenset:
     """The exact value set of the length-n factors of t (at most 3 integers).
 
     Every value must come out integral; a non-integral result would mean the
     offset bookkeeping is broken and raises immediately.
     """
-    s = _require_triple(s)
-    tab = offsets(s)
-    m = main_term(n, s)
-    p = mu(n)
-    g1 = m + tab.e1 + tab.o3 * p
-    g2 = m + tab.e2 + (tab.o2 - tab.e2) * p
-    g3 = m + tab.o3 * p
-    out = set()
-    for g in (g1, g2, g3):
-        if not g.is_integer:
-            raise RuntimeError(
-                f"non-integral factor value {g} at n={n} for weights {tuple(s)}"
-            )
-        out.add(g.as_int())
-    return frozenset(out)
+    return frozenset(_values(n, _triple(s)))
 
 
 def interval_I(window: Sequence[Half], next_term: Half, k: Half) -> tuple[Half, Half]:
     """Closed interval [k+1, sum(window) + next_term - (k+1)]; may be empty."""
     if not window:
         raise ValueError("window must be nonempty")
-    lo = k + 1
-    total = _ZERO
-    for x in window:
-        total = total + x
-    return lo, total + next_term - lo
+    lo = k.twice + 2
+    return Half(lo), Half(sum(x.twice for x in window) + next_term.twice - lo)
+
+
+def _image(window_bits, t: _Triple, parity: int) -> set:
+    # Doubled semi-image: partial sums of F plus the offsets of their phase.
+    if parity not in (0, 1):
+        raise ValueError("parity must be 0 or 1")
+    total, phase, out = 0, parity, set()
+    for bit in window_bits:
+        total += t.steps[bit]
+        if bit == 0:
+            phase ^= 1
+        out.update(total + off for off in (t.odd if phase else t.even))
+    return out
+
+
+def _missed(bits, t: _Triple, parity: int) -> list:
+    """Ascending integers of the window's interval that its semi-image
+    misses; ``bits`` are the window plus the following bit, and at parity 1
+    both are shifted by (S0+S2)/2.  The one kernel of the decision."""
+    shift = t.steps[0] if parity else 0
+    image = _image(bits[:-1], t, parity)
+    lo = t.k + 2
+    hi = sum(t.steps[b] for b in bits) - lo + shift
+    return [v for v in range(max(-(-(lo + shift) // 2), 0), hi // 2 + 1)
+            if 2 * v - shift not in image]
 
 
 def semi_image(factor_bits: Sequence[int], s, parity: int) -> frozenset:
@@ -330,22 +346,7 @@ def semi_image(factor_bits: Sequence[int], s, parity: int) -> frozenset:
     precedes the window, parity=1 an odd number (returned unshifted; the
     consumer adds the (S0+S2)/2 step when forming the odd complement).
     """
-    if parity not in (0, 1):
-        raise ValueError("parity must be 0 or 1")
-    s = _require_triple(s)
-    tab = offsets(s)
-    out = set()
-    partial = _ZERO
-    zeros = 0
-    for bit in factor_bits:
-        partial = partial + _step(int(bit), s)
-        if bit == 0:
-            zeros += 1
-        phase = zeros % 2 if parity == 0 else 1 - zeros % 2
-        shifts = tab.odd() if phase else tab.even()
-        for off in shifts:
-            out.add(partial + off)
-    return frozenset(out)
+    return frozenset(Half(x) for x in _image(factor_bits, _triple(s), parity))
 
 
 def semi_complement(factor_bits: Sequence[int], s, parity: int) -> frozenset:
@@ -358,22 +359,7 @@ def semi_complement(factor_bits: Sequence[int], s, parity: int) -> frozenset:
     """
     if len(factor_bits) < 2:
         raise ValueError("need at least one window bit plus the following bit")
-    s = _require_triple(s)
-    tab = offsets(s)
-    window_bits = list(factor_bits[:-1])
-    window = [_step(int(b), s) for b in window_bits]
-    nxt = _step(int(factor_bits[-1]), s)
-    lo, hi = interval_I(window, nxt, tab.k)
-    image = semi_image(window_bits, s, parity)
-    if parity == 1:
-        shift = _step(0, s)  # k1 + S1 = (S0+S2)/2
-        lo, hi = lo + shift, hi + shift
-        image = frozenset(x + shift for x in image)
-    integral_image = {x.as_int() for x in image if x.is_integer}
-    first = max(lo.ceil(), 0)
-    return frozenset(
-        v for v in range(first, hi.floor() + 1) if v not in integral_image
-    )
+    return frozenset(_missed(factor_bits, _triple(s), parity))
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +394,7 @@ class Table2Row:
 
 def decision_window_length(s) -> int:
     """Window length l = ceil(2(k+1) / min(S1, (S0+S2)/2))."""
-    s = _require_triple(s)
-    tab = offsets(s)
-    numerator = tab.k.twice + 2  # the integer 2(k+1)
-    denom = min(_step(0, s), _step(1, s)).twice
-    return (2 * numerator + denom - 1) // denom
+    return _triple(s).l
 
 
 #: Cap, in symbols, on the scanned prefix and on the (L+1)*L symbols of the
@@ -456,63 +438,72 @@ def _fib_factor_starts(n_max: int) -> tuple:
         scan *= 2
 
 
+#: The longest factor length whose enumeration fits FACTOR_BUDGET.
+_MAX_FACTOR_LENGTH = (math.isqrt(4 * FACTOR_BUDGET + 1) - 1) // 2
+
+# Text and per-length starts of the longest enumeration so far; it only
+# grows, at least doubling, so a sweep over lengths costs about one pass.
+_fib_table = (None, [])
+
+
 @lru_cache(maxsize=None)
 def enumerate_fib_factors(length: int) -> tuple:
     """All distinct length-``length`` factors of the Fibonacci word with their
     first occurrence index (1-based), in order of first occurrence."""
-    text, starts = _fib_factor_starts(length)
+    global _fib_table
+    cached = len(_fib_table[1])
+    if not 0 < length <= cached:
+        # Grow to at least twice the cached length; a bad length raises there.
+        _fib_table = _fib_factor_starts(
+            length if length < 1 else max(length, min(2 * cached, _MAX_FACTOR_LENGTH)))
+    text, starts = _fib_table
     return tuple((int(i) + 1, tuple(text[i : i + length].tolist()))
-                 for i in starts[-1])
+                 for i in starts[length - 1])
 
 
 @lru_cache(maxsize=None)
-def _decide(values: tuple) -> TernaryDecision:
-    s = Weights(values)
-    tab = offsets(s)
-    l = decision_window_length(s)
-    factors = enumerate_fib_factors(l + 1)
-    if tab.o1 == _ZERO:
+def _decide(t: _Triple) -> TernaryDecision:
+    factors = enumerate_fib_factors(t.l + 1)
+    if t.odd[0] == 0:
         # Constant F: the odd and even offset triples coincide as sets, so a
         # single window decides; use the first factor, the actual prefix.
         factors = factors[:1]
     for start, bits in factors:
         for parity in (0, 1):
-            missed = semi_complement(bits, s, parity)
+            missed = _missed(bits, t, parity)
             if missed:
                 witness = InfiniteWitness(
                     factor_start_index=start,
                     parity=parity,
-                    missed_value=min(missed),
+                    missed_value=missed[0],
                     factor_bits=bits,
                 )
-                return TernaryDecision(s, False, None, witness, l)
-    complement = _extract_complement(s, tab)
-    return TernaryDecision(s, True, complement, None, l)
+                return TernaryDecision(t.weights, False, None, witness, t.l)
+    return TernaryDecision(t.weights, True, _extract_complement(t), None, t.l)
 
 
 def decide_cofinite(s) -> TernaryDecision:
     """Decide whether the value set of t under the triple misses only
     finitely many integers; requires gcd(S0,S1,S2) = 1."""
-    s = _require_triple(s)
-    s.require_coprime()
-    return _decide(tuple(s))
+    t = _triple(s)
+    t.weights.require_coprime()
+    return _decide(t)
 
 
-def _complement_bound(s: Weights) -> int:
+def _complement_bound(t: _Triple) -> int:
     """B = ceil(m(2l+4)) + ceil(k) + max(S): once the window argument says
     the complement is finite, every integer above B is a value."""
-    l = decision_window_length(s)
-    return main_term(2 * l + 4, s).ceil() + offsets(s).k.ceil() + max(s)
+    return -(-_main_twice(2 * t.l + 4, t) // 2) - (-t.k // 2) + max(t.weights)
 
 
-def _extract_complement(s: Weights, tab: OffsetTable) -> tuple:
+def _extract_complement(t: _Triple) -> tuple:
     """The integers in [1, B] that no value formula g_values(n) hits, once
     the decision says the complement is finite."""
-    bound = _complement_bound(s)
+    bound = _complement_bound(t)
     covered = set()
     n = 1
-    while main_term(n, s) - tab.k <= bound:
-        covered |= g_values(n, s)
+    while _main_twice(n, t) - t.k <= 2 * bound:
+        covered |= _values(n, t)
         n += 1
     return tuple(v for v in range(1, bound + 1) if v not in covered)
 

@@ -524,24 +524,18 @@ def _ternary_checks(quick: bool) -> list[CheckResult]:
     for s in sample:
         tab = offsets(s)
         l = decision_window_length(s)
-        F = f_sequence(1, i_cover + l + 60, s)
-        partial = [Half(0)]
-        for x in F:
-            partial.append(partial[-1] + x)
-        k1 = tab.k + 1
-        for i in range(1, i_cover + 1):
-            cover_ok &= partial[i] + k1 <= partial[i + l] - k1
-        six = list(tab.odd()) + list(tab.even())
+        partial = np.cumsum(
+            [0] + [x.twice for x in f_sequence(1, i_cover + l + 60, s)])
+        k1 = tab.k.twice + 2  # doubled k+1, like every sum here
+        cover_ok &= bool(np.all(partial[1 : i_cover + 1] + k1
+                                <= partial[1 + l : i_cover + l + 1] - k1))
+        six = np.array([x.twice for x in tab.odd() + tab.even()])
         for i in range(1, i_overlap + 1):
             lo = partial[i - 1] + k1
             hi = partial[i + l] - k1
-            for off in six:
-                for sft in range(0, i):
-                    v = partial[i - 1 - sft] + off
-                    overlap_ok &= not (lo <= v <= hi)
-                for sft in range(0, 50):
-                    v = partial[i + l + sft] + off
-                    overlap_ok &= not (lo <= v <= hi)
+            outside = np.concatenate(
+                [partial[:i], partial[i + l : i + l + 50]])[:, None] + six
+            overlap_ok &= not np.any((lo <= outside) & (outside <= hi))
     out.append(CheckResult(
         "ternary", f"consecutive value windows overlap to i={i_cover}",
         bool(cover_ok)))
@@ -594,7 +588,7 @@ def _ternary_checks(quick: bool) -> list[CheckResult]:
 
     # Values up to the complement bound B come from factors of length at
     # most B // min(S); longer rows only add values above B.
-    bounds = {s: ternary._complement_bound(Weights(s))
+    bounds = {s: ternary._complement_bound(ternary._triple(s))
               for s, _ in golden.TABLE2_GOLDEN}
     t_rows = parikh_set_table(
         _T, max(b // min(s) + 1 for s, b in bounds.items()), StabilizedDoubling())

@@ -115,6 +115,14 @@ class TestComplement:
         assert err.count("\n") == 1
         assert err.startswith("error: ") and "2^22-symbol" in err
 
+    def test_t_rejects_bound(self, capsys):
+        code, out, err = run(capsys, "complement", "--word", "t",
+                             "--weights", "1,3,5", "--bound", "1")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "--bound" in err
+
     @pytest.mark.parametrize("exc, code, prefix", [
         (RuntimeError, 3, "internal error: "),
         (StabilizationError, 2, "error: "),

@@ -14,6 +14,7 @@ from frobwords.frobenius import (
     s_value,
     sylvester_number,
 )
+from frobwords.ternary import decide_cofinite
 from frobwords.verify import MaxComplexityWord, classical_nonrepresentable
 from frobwords.words import FiniteWord, WORDS
 
@@ -26,6 +27,15 @@ class TestWeights:
             Weights((0, 1))
         with pytest.raises(ValueError):
             Weights(())
+
+    def test_non_integral_weights_rejected(self):
+        # 1.5 used to be truncated to 1, answering for a different triple.
+        for bad in [(1, 1.5, 2), (2.0, 3), (1, "2")]:
+            with pytest.raises(ValueError, match="positive integers"):
+                Weights(bad)
+        with pytest.raises(ValueError, match="positive integers"):
+            decide_cofinite((1, 1.5, 2))
+        assert Weights((np.int64(2), True)) == (2, 1)
 
     def test_gcd(self):
         assert Weights((6, 10)).gcd == 2

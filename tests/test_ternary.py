@@ -1,11 +1,13 @@
 """Exact half-integer machinery and the ternary cofiniteness decision."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from frobwords import ternary
 from frobwords.factors import parikh_set_table
 from frobwords.frobenius import Weights
 from frobwords.golden import TABLE2_GOLDEN
@@ -28,13 +30,62 @@ from frobwords.ternary import (
     semi_image,
     table2,
 )
-from frobwords.words import WORDS, _replace_alternate_zeros_array
+from frobwords.words import WORDS, _replace_alternate_zeros_array, floor_phi
 
 FIB, T = WORDS["fib"], WORDS["t"]
 
 
 def halves(values):
     return {Half(int(2 * v)) for v in values}
+
+
+# The Half-based formulas the integer kernels replaced, kept as the reference.
+
+def ref_step(bit, s):
+    s0, s1, s2 = s
+    return Half(s0 + s2) if bit == 0 else Half.from_int(s1)
+
+
+def ref_offsets(s):
+    s0, s1, s2 = s
+    o2 = Half(s0 - s2)
+    odd = (Half(s0 - 2 * s1 + s2), o2, -o2)
+    even = (Half.from_int(s0 - s1), Half.from_int(s2 - s1), Half(0))
+    return odd, even, max(abs(x) for x in odd + even)
+
+
+def ref_semi_image(bits, s, parity):
+    odd, even, _ = ref_offsets(s)
+    out, partial, zeros = set(), Half(0), 0
+    for bit in bits:
+        partial = partial + ref_step(bit, s)
+        zeros += bit == 0
+        phase = zeros % 2 if parity == 0 else 1 - zeros % 2
+        out.update(partial + off for off in (odd if phase else even))
+    return frozenset(out)
+
+
+def ref_semi_complement(bits, s, parity):
+    k = ref_offsets(s)[2]
+    lo = k + 1
+    hi = sum((ref_step(b, s) for b in bits), Half(0)) - lo
+    image = ref_semi_image(bits[:-1], s, parity)
+    if parity == 1:
+        shift = ref_step(0, s)
+        lo, hi = lo + shift, hi + shift
+        image = {x + shift for x in image}
+    ints = {x.as_int() for x in image if x.is_integer}
+    return frozenset(v for v in range(max(lo.ceil(), 0), hi.floor() + 1)
+                     if v not in ints)
+
+
+def ref_g_values(n, s):
+    s0, s1, s2 = s
+    (_, o2, o3), (e1, e2, _), _ = ref_offsets(s)
+    m = Half(floor_phi(n) * (s0 - 2 * s1 + s2) - n * (s0 - 4 * s1 + s2))
+    p = mu(n)
+    return frozenset(g.as_int() for g in (m + e1 + o3 * p,
+                                          m + e2 + (o2 - e2) * p, m + o3 * p))
 
 
 class TestHalf:
@@ -296,6 +347,64 @@ class TestDecision:
     def test_finite_complement_rejects_infinite(self):
         with pytest.raises(ValueError):
             finite_complement((8, 1, 1))
+
+
+class TestIntegerKernels:
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(*[st.integers(1, 12)] * 3), st.integers(1, 400))
+    def test_equal_half_reference(self, s, n):
+        odd, even, k = ref_offsets(s)
+        tab = offsets(s)
+        assert (tab.odd(), tab.even(), tab.k) == (odd, even, k)
+        min_step = min(ref_step(0, s), ref_step(1, s))
+        l = decision_window_length(s)
+        assert l == math.ceil(Fraction(k.twice + 2) / Fraction(min_step.twice, 2))
+        for _, bits in enumerate_fib_factors(l + 1):
+            for parity in (0, 1):
+                assert semi_image(bits[:-1], s, parity) == ref_semi_image(
+                    bits[:-1], s, parity)
+                assert semi_complement(bits, s, parity) == ref_semi_complement(
+                    bits, s, parity)
+        assert g_values(n, s) == ref_g_values(n, s)
+
+    def test_decision_path_runs_no_half_arithmetic(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("Half used on the decision path")
+
+        for name in ("__init__", "__add__", "__radd__", "__sub__", "__rsub__",
+                     "__mul__", "__rmul__", "__neg__", "__abs__", "__eq__",
+                     "__lt__", "__le__", "__gt__", "__ge__"):
+            monkeypatch.setattr(Half, name, forbidden)
+        ternary._decide.cache_clear()  # so every decision really runs
+        assert [(tuple(r.weights), r.complement) for r in table2()] == [
+            (w, c) for w, c in TABLE2_GOLDEN]
+        assert decide_cofinite((8, 1, 1)).witness is not None
+        table = parikh_set_table(T, 300)
+        w = Weights((2, 3, 4))
+        assert all(g_values(n, w) == {v.dot(w) for v in table[n - 1]}
+                   for n in range(2, 301))
+
+    def test_factor_table_grows_by_doubling(self, monkeypatch):
+        passes = []
+        one_pass = ternary._fib_factor_starts
+
+        def counted(n_max):
+            passes.append(n_max)
+            return one_pass(n_max)
+
+        monkeypatch.setattr(ternary, "_fib_factor_starts", counted)
+        monkeypatch.setattr(ternary, "_fib_table", (None, []))
+        enumerate_fib_factors.cache_clear()
+        try:
+            assert all(len(enumerate_fib_factors(n)) == n + 1
+                       for n in range(1, 301))
+            assert passes == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
+            with pytest.raises(ValueError, match=">= 1"):
+                enumerate_fib_factors(0)
+            with pytest.raises(ValueError, match=r"2\^22-symbol"):
+                enumerate_fib_factors(2048)
+        finally:
+            enumerate_fib_factors.cache_clear()
 
 
 class TestTable2:
