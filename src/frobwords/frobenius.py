@@ -3,9 +3,12 @@ sets of factor languages.
 
 A weight map sends each letter to a positive integer and a word to the sum
 of its letter weights; the value set of a factor language is the image of
-all factors.  For binary words the value set at each factor length is an
-arithmetic progression determined by the zero envelope, which turns
-complement computations over bounds near 10^5 into a cheap sweep.
+all factors.  Every value set below a bound is computed as one boolean
+mask.  For binary words the values at each factor length form an
+arithmetic progression of step |a-b| read off the zero envelope, that is
+one run of consecutive members of a residue class mod |a-b|; all runs go
+into one difference array and one cumulative sum per class, with no loop
+over factor lengths.  Ternary words mark the values of their Parikh sets.
 """
 
 from __future__ import annotations
@@ -64,7 +67,8 @@ class ComplementReport:
     """Positive integers below a bound that no factor value attains.
 
     Every listed value was checked against all factor lengths up to
-    max_factor_length, which by construction exceeds bound / min(weights).
+    max_factor_length, which by construction is at least
+    ceil(bound / min(weights)).
     """
 
     weights: Weights
@@ -100,24 +104,54 @@ def s_value(w: FiniteWord, weights: Weights) -> int:
     return parikh(w).dot(weights)
 
 
-def _binary_values_per_length(
-    g: WordGenerator, weights: Weights, max_len: int, src: FactorSource | None
-):
-    """Yield (length, lowest value, step, count) of the value progression at
-    each factor length of a binary word, from the zero envelope."""
-    a, b = weights
-    z_min, z_max = zero_envelope_table(g, max_len, src)
-    for n in range(1, max_len + 1):
-        lo, hi = int(z_min[n - 1]), int(z_max[n - 1])
-        # values b*n + (a-b)*z for z in [lo, hi]
-        v1 = b * n + (a - b) * lo
-        v2 = b * n + (a - b) * hi
-        start = min(v1, v2)
-        step = abs(a - b)
-        if step == 0:
-            yield n, start, 1, 1
-        else:
-            yield n, start, step, hi - lo + 1
+def _envelope_mask(z_min, z_max, a: int, b: int, bound: int) -> np.ndarray:
+    """Boolean mask over 0..bound-1 of the values a*z + b*(n-z) with
+    z_min[n-1] <= z <= z_max[n-1], for every length n of the envelope.
+
+    The values at one length step by |a-b|, so inside one residue class mod
+    |a-b| they are one run of consecutive class members.  The classes are
+    laid out as the rows of a grid whose last column collects the runs that
+    reach past bound; each run adds +1 at its first member and -1 after its
+    last, and one cumsum per row turns the counts into the mask.
+    """
+    step = abs(a - b) or 1  # a == b: one value per length, one class
+    n = np.arange(1, len(z_min) + 1, dtype=np.int64)
+    v1 = b * n + (a - b) * np.asarray(z_min, dtype=np.int64)
+    v2 = b * n + (a - b) * np.asarray(z_max, dtype=np.int64)
+    lo, hi = np.minimum(v1, v2), np.maximum(v1, v2)
+    keep = lo < bound
+    lo, hi = lo[keep], hi[keep]
+    cols = -(-bound // step)  # members of class 0 below bound
+    width = cols + 1
+    row = lo % step * width
+    runs = np.bincount(row + lo // step, minlength=step * width)
+    runs -= np.bincount(row + np.minimum(hi // step + 1, cols),
+                        minlength=step * width)
+    runs = runs.reshape(step, width).cumsum(axis=1)[:, :cols]
+    return (runs > 0).T.ravel()[:bound]
+
+
+def _value_mask(
+    g: WordGenerator,
+    weights: Weights,
+    bound: int,
+    max_len: int,
+    src: FactorSource | None,
+) -> np.ndarray:
+    """Boolean mask over 0..bound-1 of the factor values of lengths 1..max_len.
+
+    Binary words go through the zero envelope (_envelope_mask); ternary
+    ones mark the values of their explicit Parikh sets.
+    """
+    if len(weights) != g.alphabet_size:
+        raise ValueError("weights do not match the word's alphabet")
+    if g.alphabet_size == 2:
+        return _envelope_mask(*zero_envelope_table(g, max_len, src), *weights, bound)
+    vectors = [v for row in parikh_set_table(g, max_len, src) for v in row]
+    values = np.array(vectors, dtype=np.int64).reshape(-1, len(weights)) @ weights
+    mask = np.zeros(bound, dtype=bool)
+    mask[values[values < bound]] = True
+    return mask
 
 
 def representable_set(
@@ -128,19 +162,13 @@ def representable_set(
 ) -> set:
     """All factor values over factor lengths 1..max_len.
 
-    Binary generators go through the zero-envelope progressions; ternary
-    ones through explicit Parikh sets.
+    They are read off the value mask (see _value_mask) up to the largest
+    possible value, max_len * max(weights).
     """
     weights = Weights(weights)
     weights.require_coprime()
-    values: set[int] = set()
-    if g.alphabet_size == 2:
-        for _, start, step, count in _binary_values_per_length(g, weights, max_len, src):
-            values.update(range(start, start + step * count, step))
-    else:
-        for row in parikh_set_table(g, max_len, src):
-            values.update(v.dot(weights) for v in row)
-    return values
+    mask = _value_mask(g, weights, max_len * max(weights) + 1, max_len, src)
+    return set(np.flatnonzero(mask).tolist())
 
 
 def complement_below(
@@ -154,7 +182,8 @@ def complement_below(
 
     max_len defaults to the smallest factor-length budget that can decide
     the bound, ceil(bound / min(weights)); anything smaller is rejected
-    because a representing factor could hide beyond the scan.
+    because a representing factor could hide beyond the scan.  The
+    complement is the unset part of one value mask (see _value_mask).
     """
     weights = Weights(weights)
     weights.require_coprime()
@@ -163,26 +192,13 @@ def complement_below(
     needed = -(-bound // min(weights))
     if max_len is None:
         max_len = needed
-    if max_len < bound / min(weights):
+    if max_len < needed:
         raise ValueError(
             f"max_len={max_len} cannot decide representability below {bound}; "
             f"need at least {needed}"
         )
-    hit = np.zeros(bound, dtype=bool)
-    if g.alphabet_size == 2:
-        method = "binary-envelope-interval"
-        for _, start, step, count in _binary_values_per_length(g, weights, max_len, src):
-            if start >= bound:
-                continue
-            stop = min(start + step * count, bound)
-            hit[start:stop:step] = True
-    else:
-        method = "parikh-set-scan"
-        for row in parikh_set_table(g, max_len, src):
-            for vec in row:
-                v = vec.dot(weights)
-                if v < bound:
-                    hit[v] = True
+    hit = _value_mask(g, weights, bound, max_len, src)
+    method = "binary-envelope-interval" if g.alphabet_size == 2 else "parikh-set-scan"
     complement = tuple(int(v) for v in np.flatnonzero(~hit) if v > 0)
     return ComplementReport(
         weights=weights,
@@ -193,29 +209,9 @@ def complement_below(
     )
 
 
-def _representable_via_envelope(
-    target: int, a: int, b: int, z_min: np.ndarray, z_max: np.ndarray
-) -> bool:
-    """Is target = a*z + b*(L-z) for some factor length L with z inside the
-    envelope at L?  Envelope arrays are indexed by L-1."""
-    max_len = len(z_min)
-    for length in range(1, min(target // min(a, b), max_len) + 1):
-        rem = target - b * length
-        if a == b:
-            if rem == 0:
-                return True
-            continue
-        if rem % (a - b):
-            continue
-        z = rem // (a - b)
-        if 0 <= z <= length and z_min[length - 1] <= z <= z_max[length - 1]:
-            return True
-    return False
-
-
 def pf_witnesses(a: int, b: int, n_range, src: FactorSource | None = None):
     """Candidate non-representable targets a(2^(n-1)-2) + b(2^(n-1)+2) for the
-    paperfolding word, each verified against the zero envelope at every
+    paperfolding word, each verified against one value mask over every
     feasible factor length.
 
     Requires 4 <= a < b with a, b coprime.
@@ -226,11 +222,10 @@ def pf_witnesses(a: int, b: int, n_range, src: FactorSource | None = None):
         raise ValueError(f"({a},{b}) are not coprime")
     ns = list(n_range)
     targets = [a * (2 ** (n - 1) - 2) + b * (2 ** (n - 1) + 2) for n in ns]
-    max_len = max(t // min(a, b) for t in targets)
+    if not targets:
+        return []
     if src is None:
         src = StabilizedDoubling(max_length=2**22)
-    z_min, z_max = zero_envelope_table(WORDS["pf"], max_len, src)
-    return [
-        WitnessResult(n, t, not _representable_via_envelope(t, a, b, z_min, z_max))
-        for n, t in zip(ns, targets)
-    ]
+    hit = _value_mask(WORDS["pf"], Weights((a, b)), max(targets) + 1,
+                      max(targets) // a, src)
+    return [WitnessResult(n, t, not hit[t]) for n, t in zip(ns, targets)]

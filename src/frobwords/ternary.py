@@ -139,7 +139,10 @@ class Half:
         return -((-self.twice) // 2)
 
     def __str__(self) -> str:
-        return str(self.twice // 2) if self.is_integer else f"{self.twice / 2:.1f}"
+        if self.is_integer:
+            return str(self.twice // 2)
+        sign = "-" if self.twice < 0 else ""
+        return f"{sign}{abs(self.twice) // 2}.5"
 
     def __repr__(self) -> str:
         return f"Half({self.twice})"

@@ -322,16 +322,16 @@ def _phi_checks(quick: bool) -> list[CheckResult]:
         f"(3,1): formula {erratum_bound}, reference erratum "
         f"{gold[ERRATUM_PAIR][0]}"))
 
-    boundary_ok = True
     needed = max(
         (morphic.ab_bound(r.a, r.b).ceil_M + r.a + r.b) // min(r.a, r.b) + 1
         for r in rows
     )
     z_min, z_max = morphic.phi_envelope_table(needed)
-    for r in rows:
-        for v in range(r.ceil_M, r.ceil_M + r.a + r.b + 1):
-            boundary_ok &= frobenius._representable_via_envelope(
-                v, r.a, r.b, z_min, z_max)
+    boundary_ok = all(
+        frobenius._envelope_mask(
+            z_min, z_max, r.a, r.b, r.ceil_M + r.a + r.b + 1)[r.ceil_M:].all()
+        for r in rows
+    )
     out.append(CheckResult(
         "phi", "every integer just above each bound is representable",
         bool(boundary_ok)))

@@ -185,6 +185,14 @@ class TestVerifyCommand:
                          if r["check"].startswith("reference bound column"))
         assert "reference erratum 244" in bound_row["details"]
 
+    def test_quick_pf_suite(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "pf", "--quick",
+                           "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["summary"]["total"] == 12
+        assert doc["summary"]["failed"] == 0
+
     def test_quick_ternary_suite(self, capsys):
         code, out, err = run(capsys, "verify", "--suite", "ternary", "--quick",
                              "--format", "json")

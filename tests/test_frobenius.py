@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from frobwords.factors import StabilizedDoubling, zero_envelope_table
 from frobwords.frobenius import (
     Weights,
+    _envelope_mask,
+    _value_mask,
     complement_below,
     pf_witnesses,
     representable_set,
@@ -101,6 +104,14 @@ class TestRepresentableSet:
         with pytest.raises(ValueError):
             representable_set(PF, Weights((2, 4)), 10)
 
+    def test_weight_count_must_match_alphabet(self):
+        # a binary word used to fail on tuple unpacking of the weights
+        for g, weights in [(PF, (1,)), (PF, (1, 2, 3)), (T, (1, 2))]:
+            with pytest.raises(ValueError, match="do not match the word's alphabet"):
+                representable_set(g, Weights(weights), 10)
+            with pytest.raises(ValueError, match="do not match the word's alphabet"):
+                complement_below(g, Weights(weights), 10)
+
 
 class TestComplementBelow:
     def test_every_length_present_gives_empty(self):
@@ -111,6 +122,14 @@ class TestComplementBelow:
     def test_max_len_guard(self):
         with pytest.raises(ValueError):
             complement_below(PF, Weights((2, 3)), 100, max_len=10)
+
+    @pytest.mark.parametrize("bound", [100, 101])
+    def test_max_len_guard_boundary(self, bound):
+        needed = -(-bound // 2)
+        report = complement_below(PF, Weights((2, 3)), bound, max_len=needed)
+        assert report.max_factor_length == needed
+        with pytest.raises(ValueError, match=f"need at least {needed}"):
+            complement_below(PF, Weights((2, 3)), bound, max_len=needed - 1)
 
     def test_classical_cross_check(self):
         stair = MaxComplexityWord()
@@ -141,6 +160,23 @@ class TestPaperfoldingWitnesses:
         assert res.target == 20
         assert isinstance(res.verified_nonrepresentable, bool)
 
+    def test_empty_range(self):
+        assert pf_witnesses(4, 5, range(0)) == []
+
+    @pytest.mark.parametrize("a, b", [(4, 5), (4, 9), (5, 7)])
+    def test_matches_per_target_loop(self, a, b):
+        # every target of n = 1..10, and every integer below 500, against
+        # the per-target envelope loop the value mask replaced
+        results = pf_witnesses(a, b, range(1, 11))
+        src = StabilizedDoubling(max_length=2**22)
+        z_min, z_max = zero_envelope_table(PF, results[-1].target // a, src)
+        assert [r.verified_nonrepresentable for r in results] == [
+            not _representable_per_target(r.target, a, b, z_min, z_max)
+            for r in results]
+        hit = _value_mask(PF, Weights((a, b)), 500, 500 // a, src)
+        assert hit.tolist() == [
+            _representable_per_target(v, a, b, z_min, z_max) for v in range(500)]
+
     def test_hypothesis_guard(self):
         with pytest.raises(ValueError):
             pf_witnesses(3, 5, range(4, 6))
@@ -160,3 +196,67 @@ class TestPaperfoldingWitnesses:
                 for zz in np.unique(zeros):
                     seen.add(4 * int(zz) + 5 * (length - int(zz)))
             assert target not in seen
+
+
+def _representable_per_target(target, a, b, z_min, z_max):
+    """Reference: is target = a*z + b*(L-z) for some factor length L with z
+    inside the envelope at L?  One loop over L per target."""
+    max_len = len(z_min)
+    for length in range(1, min(target // min(a, b), max_len) + 1):
+        rem = target - b * length
+        if a == b:
+            if rem == 0:
+                return True
+            continue
+        if rem % (a - b):
+            continue
+        z = rem // (a - b)
+        if 0 <= z <= length and z_min[length - 1] <= z <= z_max[length - 1]:
+            return True
+    return False
+
+
+def _progression_union(z_min, z_max, a, b, bound):
+    """Reference: mark the value progression of each factor length in turn,
+    start + step*k for k < count, one slice assignment per length."""
+    hit = np.zeros(bound, dtype=bool)
+    for n in range(1, len(z_min) + 1):
+        lo, hi = int(z_min[n - 1]), int(z_max[n - 1])
+        v1 = b * n + (a - b) * lo
+        v2 = b * n + (a - b) * hi
+        start = min(v1, v2)
+        step = abs(a - b)
+        step, count = (1, 1) if step == 0 else (step, hi - lo + 1)
+        if start >= bound:
+            continue
+        stop = min(start + step * count, bound)
+        hit[start:stop:step] = True
+    return hit
+
+
+@st.composite
+def _envelopes(draw):
+    """Random envelopes 0 <= z_min(n) <= z_max(n) <= n for 1..300 lengths."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 300), st.integers(0, 300)),
+                          min_size=1, max_size=300))
+    bounds = [sorted((u % (n + 1), v % (n + 1)))
+              for n, (u, v) in enumerate(pairs, start=1)]
+    z_min, z_max = np.array(bounds, dtype=np.int64).T
+    return z_min, z_max
+
+
+# (1, 1) is the one pair with a == b; draw it often, not by chance
+_coprime_pairs = st.one_of(st.just((1, 1)), st.tuples(
+    st.integers(1, 12), st.integers(1, 12)).filter(lambda ab: math.gcd(*ab) == 1))
+
+
+class TestEnvelopeMask:
+    @settings(max_examples=200, deadline=None)
+    @given(_envelopes(), _coprime_pairs, st.data())
+    def test_matches_progression_union(self, envelope, weights, data):
+        z_min, z_max = envelope
+        a, b = weights
+        bound = data.draw(st.integers(1, max(a, b) * len(z_min) + 20))
+        got = _envelope_mask(z_min, z_max, a, b, bound)
+        assert got.dtype == bool and got.shape == (bound,)
+        assert got.tolist() == _progression_union(z_min, z_max, a, b, bound).tolist()

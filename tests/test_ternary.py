@@ -120,6 +120,14 @@ class TestHalf:
         assert Half(-5).floor() == -3 and Half(-5).ceil() == -2
         assert Half(6).floor() == Half(6).ceil() == 3
 
+    def test_str_is_exact_beyond_float_precision(self):
+        # 2**53 + 1 halved used to print through a float as ...496.0
+        assert str(Half(5)) == "2.5"
+        assert str(Half(-3)) == "-1.5"
+        assert str(Half(2**53 + 1)) == "4503599627370496.5"
+        assert str(Half(-(2**53 + 1))) == "-4503599627370496.5"
+        assert str(Half(2**60 + 1)) == "576460752303423488.5"
+
     def test_hash_agrees_with_int_equality(self):
         assert hash(Half(6)) == hash(3)
         assert len({Half(6), 3}) == 1
