@@ -40,6 +40,8 @@ from .factors import (
     ExplicitPrefix,
     MorphicCover,
     StabilizedDoubling,
+    Certified,
+    CERTIFIED_TABLE_BUDGET,
     default_source,
     parikh,
     parikh_set,

@@ -10,9 +10,35 @@ are scanned and why that is enough:
   sees every factor of length <= L**power.  Zero-envelope tables under this
   source come from one step of desubstitution instead of a scan (see
   ``_desubstitution_envelopes``);
+* ``Certified()``            -- for the built-in pf, fib and t, read the
+  answer off the word's structure and scan nothing (see below);
 * ``StabilizedDoubling(initial_length, max_length)`` -- scan a prefix,
   double it until the answer stops changing across a doubling, and fail
-  loudly if the cap is reached first.
+  loudly if the cap is reached first.  This is a heuristic, not a proof; it
+  is the default only for generators with no certified source.
+
+``Certified`` rests on three arguments, all exact in integer arithmetic:
+
+* pf, the parity-refined 2-recursion (the split behind Madill & Rampersad,
+  "The abelian complexity of the paperfolding word", 2013).  Positions are
+  1-indexed; an odd position i holds 0 if i = 1 (mod 4) and 1 if i = 3
+  (mod 4), an even one holds pf(i/2).  A length-L window at i = q (mod 4)
+  has a count fixed by q and L of zeros at its odd positions, and its even
+  positions are the pf window at ceil(i/2), of length floor(L/2) for odd i
+  and ceil(L/2) for even i.  ceil(i/2) is odd for q in {1, 2}, even for
+  q in {3, 0}, and runs through every start of that parity, so the
+  envelopes at L over odd and over even starts follow from those at
+  lengths <= ceil(L/2) (``_paperfolding_step``).  The base case is L = 1,
+  with (0, 1) at both parities;
+* fib, the Beatty form of the Sturmian envelope (Coven & Hedlund, 1973).
+  A length-n window at i holds floor((i+n)phi) - floor(i phi) - n zeros,
+  which is floor(n phi) - n or one more, and both occur, so
+  z_max(n) = floor(n phi) - n + 1 and z_min(n) = z_max(n) - 1;
+* t, the lift from fib.  Erasing 2 -> 0 maps the factors of t onto those of
+  fib, and a fib factor with z zeros lifts, from either phase of the
+  alternation, to (ceil(z/2), n-z, floor(z/2)) and (floor(z/2), n-z,
+  ceil(z/2)) (``verify --suite ternary`` checks the lift lemma and the
+  well-distributed occurrences it rests on).
 
 Every scan is one window kernel, ``_window_scan``: prefix sums once per
 covering string, then one subtraction per window length.  It yields the
@@ -36,10 +62,15 @@ import numpy as np
 
 from .words import (
     ConfigurationError,
+    FibonacciWord,
     FiniteWord,
     MorphicFixedPoint,
     Morphism,
+    PaperfoldingWord,
+    TernaryBalancedWord,
     WordGenerator,
+    floor_phi,
+    floor_phi_array,
 )
 
 __all__ = [
@@ -52,6 +83,8 @@ __all__ = [
     "ExplicitPrefix",
     "MorphicCover",
     "StabilizedDoubling",
+    "Certified",
+    "CERTIFIED_TABLE_BUDGET",
     "default_source",
     "parikh",
     "parikh_set",
@@ -151,7 +184,19 @@ class StabilizedDoubling:
     max_length: int = 2**20
 
 
-FactorSource = ExplicitPrefix | MorphicCover | StabilizedDoubling
+@dataclass(frozen=True)
+class Certified:
+    """Exact answers for the built-in pf, fib and t with no scan: the
+    paperfolding 2-recursion, the Beatty form of the Sturmian envelope, and
+    the lift from fib to t (see the module docstring)."""
+
+
+FactorSource = ExplicitPrefix | MorphicCover | StabilizedDoubling | Certified
+
+#: Longest certified table, in window lengths.  The envelopes are cheap; the
+#: bound is set by the Parikh table of pf, about 744,000 vectors and 120 MiB
+#: at this length.
+CERTIFIED_TABLE_BUDGET = 2**16
 
 # Read-only per-generator caches; keys die with their generators.
 _COVER_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -161,7 +206,16 @@ R = TypeVar("R")
 
 
 def default_source(g: WordGenerator, n: int) -> FactorSource:
-    """The source a command should use when the caller does not care."""
+    """The source a command should use when the caller does not care.
+
+    ``Certified()`` for the built-in pf, fib and t (the 2-recursion, the
+    Beatty form and the lift; base case L = 1 with (0, 1) at both start
+    parities for pf), ``MorphicCover`` with the least power covering n for a
+    uniform morphic fixed point such as phi, and the heuristic
+    ``StabilizedDoubling()`` only for any other generator.
+    """
+    if type(g) in _CERTIFIED:
+        return Certified()
     if isinstance(g, MorphicFixedPoint) and g.morphism.uniform_length:
         ell = g.morphism.uniform_length
         t = 1
@@ -332,6 +386,109 @@ def _ternary_parikhs(n: int, pairs) -> tuple[ParikhVector, ...]:
 
 
 # ---------------------------------------------------------------------------
+# Certified envelopes (no scan)
+# ---------------------------------------------------------------------------
+
+def _paperfolding_step(length, half_down, half_up):
+    """pf envelopes at ``length`` (an int or an int array) from those at
+    floor(length/2) (``half_down``) and ceil(length/2) (``half_up``).
+
+    Envelopes are indexed [start parity (0 even, 1 odd), least/most zeros].
+    A window at i = q (mod 4) holds (length + 3 - (1-q) % 4) // 4 zeros at
+    its odd positions, those = 1 (mod 4); its even positions are the window
+    at ceil(i/2), odd for q in {1, 2} and even for q in {3, 0}, of length
+    floor(length/2) for odd i and ceil(length/2) for even i.
+    """
+    def odd_zeros(q):
+        return (length + 3 - (1 - q) % 4) // 4
+
+    # [start parity][class q][least/most]
+    terms = np.stack([
+        [odd_zeros(2) + half_up[1], odd_zeros(0) + half_up[0]],
+        [odd_zeros(1) + half_down[1], odd_zeros(3) + half_down[0]],
+    ])
+    return np.stack([terms[:, :, 0].min(axis=1), terms[:, :, 1].max(axis=1)],
+                    axis=1)
+
+
+_PF_LENGTH_1 = np.array([[0, 1], [0, 1]], dtype=np.int64)  # both parities
+
+
+def _paperfolding_envelopes(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(z_min, z_max) of pf for lengths 1..n_max.  Lengths below 2*start - 1
+    need only lengths below start, so each numpy step takes all of them."""
+    env = np.zeros((2, 2, n_max + 1), dtype=np.int64)  # length 0: empty
+    env[:, :, 1] = _PF_LENGTH_1
+    start = 2
+    while start <= n_max:
+        stop = min(2 * start - 1, n_max + 1)
+        length = np.arange(start, stop)
+        env[:, :, start:stop] = _paperfolding_step(
+            length, env[:, :, length // 2], env[:, :, (length + 1) // 2])
+        start = stop
+    return env[:, 0, 1:].min(axis=0), env[:, 1, 1:].max(axis=0)
+
+
+def _paperfolding_envelope(n: int) -> tuple[int, int]:
+    """(z_min, z_max) of pf at one length n, from the at most two lengths
+    floor and ceil of n / 2**k at each level k."""
+    lengths = frontier = {n}
+    while frontier:
+        frontier = {h for m in frontier if m > 1
+                    for h in (m // 2, (m + 1) // 2)} - lengths
+        lengths = lengths | frontier
+    env = {1: _PF_LENGTH_1}
+    for m in sorted(lengths - {1}):
+        env[m] = _paperfolding_step(m, env[m // 2], env[(m + 1) // 2])
+    return int(env[n][:, 0].min()), int(env[n][:, 1].max())
+
+
+def _fibonacci_envelopes(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(z_min, z_max) of fib for lengths 1..n_max by the Beatty form."""
+    z_max = floor_phi_array(n_max)[1:] - np.arange(n_max, dtype=np.int64)
+    return z_max - 1, z_max
+
+
+def _fibonacci_envelope(n: int) -> tuple[int, int]:
+    z_max = floor_phi(n) - n + 1
+    return z_max - 1, z_max
+
+
+#: Generator type -> (table, single length) envelope of its zeros; for t
+#: these are the zeros and twos together, the zeros of its image in fib.
+_CERTIFIED = {
+    PaperfoldingWord: (_paperfolding_envelopes, _paperfolding_envelope),
+    FibonacciWord: (_fibonacci_envelopes, _fibonacci_envelope),
+    TernaryBalancedWord: (_fibonacci_envelopes, _fibonacci_envelope),
+}
+
+
+def _certified(g: WordGenerator, n: int, table: bool):
+    """The certified envelope of g at n, or its table for lengths 1..n."""
+    builders = _CERTIFIED.get(type(g))
+    if builders is None:
+        raise ConfigurationError(
+            "Certified only applies to the built-in pf, fib and t")
+    if n < 1:
+        raise ValueError("window length must be >= 1")
+    if table and n > CERTIFIED_TABLE_BUDGET:
+        raise ValueError(
+            f"a certified table to length {n} exceeds the budget "
+            f"CERTIFIED_TABLE_BUDGET = {CERTIFIED_TABLE_BUDGET} lengths")
+    return builders[0 if table else 1](n)
+
+
+def _lifted_parikhs(n: int, z_min: int, z_max: int) -> tuple[ParikhVector, ...]:
+    """The Parikh set of t at n from the fib envelope: each zero count z
+    lifts to z - z//2 zeros and z//2 twos, or the reverse."""
+    return tuple(sorted({
+        ParikhVector(v)
+        for z in (z_min, z_max)
+        for v in ((z - z // 2, n - z, z // 2), (z // 2, n - z, z - z // 2))
+    }))
+
+
+# ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
 
@@ -349,6 +506,8 @@ def parikh_set(g: WordGenerator, n: int, src: FactorSource | None = None):
         return _binary_parikhs(n, env.z_min, env.z_max)
     if g.alphabet_size != 3:
         raise ValueError("only alphabets of size 2 and 3 are supported")
+    if isinstance(src, Certified):
+        return _lifted_parikhs(n, *_certified(g, n, table=False))
     pairs = _scan_source(g, n, src, lambda s: next(_window_scan(s, [n], 3)))
     return _ternary_parikhs(n, pairs)
 
@@ -358,7 +517,8 @@ def parikh_set_table(g: WordGenerator, n_max: int, src: FactorSource | None = No
 
     Under StabilizedDoubling the *whole table* must be unchanged across a
     doubling, so one scan budget covers the full sweep.  A binary table is
-    read off zero_envelope_table and shares its cache.  Returns a list
+    read off zero_envelope_table and shares its cache; under Certified a
+    table of t is lifted from the Beatty table of fib.  Returns a list
     indexed by n-1.
     """
     if src is None:
@@ -369,6 +529,10 @@ def parikh_set_table(g: WordGenerator, n_max: int, src: FactorSource | None = No
                 zip(range(1, n_max + 1), z_min.tolist(), z_max.tolist())]
     if g.alphabet_size != 3:
         raise ValueError("only alphabets of size 2 and 3 are supported")
+    if isinstance(src, Certified):
+        z_min, z_max = _certified(g, n_max, table=True)
+        return [_lifted_parikhs(n, lo, hi) for n, lo, hi in
+                zip(range(1, n_max + 1), z_min.tolist(), z_max.tolist())]
     table = _scan_source(
         g, n_max, src, lambda s: tuple(_window_scan(s, range(1, n_max + 1), 3)))
     return [_ternary_parikhs(n, row) for n, row in enumerate(table, start=1)]
@@ -385,7 +549,11 @@ def zero_envelope(g: WordGenerator, n: int, src: FactorSource | None = None) -> 
         raise ValueError("zero envelopes are defined for binary words")
     if src is None:
         src = default_source(g, n)
-    z_min, z_max = _scan_source(g, n, src, lambda s: next(_window_scan(s, [n], 2)))
+    if isinstance(src, Certified):
+        z_min, z_max = _certified(g, n, table=False)
+    else:
+        z_min, z_max = _scan_source(
+            g, n, src, lambda s: next(_window_scan(s, [n], 2)))
     return ZeroEnvelope(n, z_min, z_max)
 
 
@@ -475,8 +643,10 @@ def zero_envelope_table(
 
     The table form exists because downstream representability sweeps need
     every length at once.  Under MorphicCover it is computed exactly by
-    desubstitution, so every power shares one table; under the other
-    sources it is a scan, stabilized jointly under StabilizedDoubling.
+    desubstitution, so every power shares one table; under Certified by the
+    pf 2-recursion or the fib Beatty form, within CERTIFIED_TABLE_BUDGET
+    lengths; under the other sources it is a scan, stabilized jointly under
+    StabilizedDoubling.
     Tables are cached per generator grow-only, so repeated sweeps share one
     computation.
     """
@@ -496,6 +666,8 @@ def zero_envelope_table(
 
     if key is MorphicCover:
         z_min, z_max = _desubstitution_envelopes(g, n_max)
+    elif isinstance(src, Certified):
+        z_min, z_max = _certified(g, n_max, table=True)
     else:
         z_min, z_max = _scan_envelope_table(g, n_max, src)
     z_min.setflags(write=False)

@@ -21,7 +21,6 @@ import numpy as np
 
 from .factors import (
     FactorSource,
-    StabilizedDoubling,
     parikh,
     parikh_set_table,
     zero_envelope_table,
@@ -214,18 +213,21 @@ def pf_witnesses(a: int, b: int, n_range, src: FactorSource | None = None):
     paperfolding word, each verified against one value mask over every
     feasible factor length.
 
-    Requires 4 <= a < b with a, b coprime.
+    Requires 4 <= a < b with a, b coprime, and n >= 1.  The envelopes come
+    from src, by default the certified 2-recursion (factors.default_source),
+    so the longest length, max(target) // a, must lie within
+    factors.CERTIFIED_TABLE_BUDGET; an explicit src is always used as given.
     """
     if not 4 <= a < b:
         raise ValueError("the construction needs 4 <= a < b")
     if math.gcd(a, b) != 1:
         raise ValueError(f"({a},{b}) are not coprime")
     ns = list(n_range)
+    if any(n < 1 for n in ns):
+        raise ValueError("n must be >= 1")
     targets = [a * (2 ** (n - 1) - 2) + b * (2 ** (n - 1) + 2) for n in ns]
     if not targets:
         return []
-    if src is None:
-        src = StabilizedDoubling(max_length=2**22)
     hit = _value_mask(WORDS["pf"], Weights((a, b)), max(targets) + 1,
                       max(targets) // a, src)
     return [WitnessResult(n, t, not hit[t]) for n, t in zip(ns, targets)]

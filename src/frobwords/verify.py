@@ -16,6 +16,7 @@ import numpy as np
 
 from . import factors, frobenius, golden, morphic, ternary, words
 from .factors import (
+    Certified,
     MorphicCover,
     ParikhVector,
     StabilizedDoubling,
@@ -178,8 +179,15 @@ def _pf_checks(quick: bool) -> list[CheckResult]:
     out.append(CheckResult("pf", f"odd/even recursion to {n_rec}",
                            odd_ok and even_ok))
 
-    n_stats = 2**9 if quick else 2**12
+    n_cert = 2**10 + 1 if quick else 2**12 + 1
     src = StabilizedDoubling(max_length=2**22)
+    rec_min, rec_max = zero_envelope_table(_PF, n_cert, Certified())
+    scan_min, scan_max = zero_envelope_table(_PF, n_cert, src)
+    out.append(CheckResult(
+        "pf", f"2-recursion equals the doubling scan to {n_cert}",
+        bool((rec_min == scan_min).all() and (rec_max == scan_max).all())))
+
+    n_stats = 2**9 if quick else 2**12
     table = parikh_set_table(_PF, n_stats + 1, src)
     deltas = [frozenset(v[0] - v[1] for v in row) for row in table]
     m_vals = [max(d) for d in deltas]
@@ -390,7 +398,7 @@ def _ternary_checks(quick: bool) -> list[CheckResult]:
     text, fib_starts = ternary._fib_factor_starts(n_ll)
     ok_lemma_l = True
     for n, starts in enumerate(fib_starts, start=1):
-        t_set = set(parikh_set(_T, n))
+        t_set = set(parikh_set(_T, n, StabilizedDoubling()))
         mat = text[starts[:, None] + np.arange(n)]
         images = _row_parikhs(
             words._replace_alternate_zeros_array(mat, "second")) | _row_parikhs(
@@ -402,8 +410,8 @@ def _ternary_checks(quick: bool) -> list[CheckResult]:
         bool(ok_lemma_l)))
 
     n_bal = 200 if quick else 2000
-    t_table = parikh_set_table(_T, n_bal)
-    f_table = parikh_set_table(_FIB, n_bal)
+    t_table = parikh_set_table(_T, n_bal, StabilizedDoubling())
+    f_table = parikh_set_table(_FIB, n_bal, StabilizedDoubling())
     out.append(CheckResult(
         "ternary", f"constant complexity (2 for fib, 3 for t) to {n_bal}",
         all(len(r) == 2 for r in f_table) and all(len(r) == 3 for r in t_table)))
@@ -415,6 +423,10 @@ def _ternary_checks(quick: bool) -> list[CheckResult]:
                 bal_ok &= max(vals) - min(vals) <= 1
     out.append(CheckResult("ternary", f"fib and t are 1-balanced to {n_bal}",
                            bool(bal_ok)))
+    out.append(CheckResult(
+        "ternary", f"Beatty and lift tables equal the doubling scan to {n_bal}",
+        parikh_set_table(_FIB, n_bal, Certified()) == f_table
+        and parikh_set_table(_T, n_bal, Certified()) == t_table))
 
     moduli = (2,) if quick else (2, 3)
     n_factors = 4 if quick else 10
@@ -497,7 +509,7 @@ def _ternary_checks(quick: bool) -> list[CheckResult]:
         bool(cor_ok)))
 
     n_g = 300 if quick else 2000
-    g_table = parikh_set_table(_T, n_g)
+    g_table = parikh_set_table(_T, n_g, StabilizedDoubling())
     triples = ORACLE_TRIPLES[:3] if quick else ORACLE_TRIPLES
     g_ok = all(
         frozenset(v.dot(Weights(s)) for v in g_table[n - 1]) == g_values(n, s)

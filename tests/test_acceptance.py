@@ -49,12 +49,12 @@ def report(k: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def t_table_2000():
-    return parikh_set_table(T, 2000)
+    return parikh_set_table(T, 2000, StabilizedDoubling())
 
 
 @pytest.fixture(scope="module")
 def f_table_2000():
-    return parikh_set_table(FIB, 2000)
+    return parikh_set_table(FIB, 2000, StabilizedDoubling())
 
 
 ERRATUM_PAIR = (3, 1)

@@ -36,6 +36,14 @@ class TestPrefix:
             main(["prefix", "--word", "thue", "--n", "5"])
         assert exc.value.code == 2
 
+    def test_beyond_beatty_array_limit(self, capsys):
+        code, out, err = run(capsys, "prefix", "--word", "fib",
+                             "--n", "1400000000")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "1300000000" in err
+
     def test_json_envelope(self, capsys):
         code, out, _ = run(capsys, "prefix", "--word", "pf", "--n", "12",
                            "--format", "json")
@@ -67,6 +75,20 @@ class TestComplexity:
         code, out, _ = run(capsys, "complexity", "--word", "t",
                            "--n-min", "1", "--n-max", "10", "--format", "json")
         assert all(r["abelian_complexity"] == 3 for r in json.loads(out)["rows"])
+
+    @pytest.mark.parametrize("word, n, rho", [
+        # beyond the default doubling cap; pf at 20000 equals a scan of a
+        # 2^25-symbol prefix
+        ("pf", 16384, 3), ("pf", 20000, 9), ("t", 16384, 3), ("fib", 20000, 2),
+        # one length needs no table, so no budget applies
+        ("pf", 10**10, 17), ("t", 10**12, 3), ("fib", 10**12, 2),
+    ])
+    def test_long_lengths(self, capsys, word, n, rho):
+        code, out, err = run(capsys, "complexity", "--word", word,
+                             "--n-min", str(n), "--n-max", str(n),
+                             "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == f"{n},{rho},"
 
     def test_csv_has_header(self, capsys):
         _, out, _ = run(capsys, "complexity", "--word", "fib",
@@ -190,7 +212,7 @@ class TestVerifyCommand:
                            "--format", "json")
         assert code == 0
         doc = json.loads(out)
-        assert doc["summary"]["total"] == 12
+        assert doc["summary"]["total"] == 13
         assert doc["summary"]["failed"] == 0
 
     def test_quick_ternary_suite(self, capsys):

@@ -1,14 +1,18 @@
 """Factor scanning: Parikh sets, envelopes, balance, occurrence residues."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from frobwords import verify
+from frobwords import cli, factors, frobenius, verify
 from frobwords.factors import (
     _length2_factors,
     _scan_envelope_table,
     _window_scan,
+    CERTIFIED_TABLE_BUDGET,
+    Certified,
     ExplicitPrefix,
     FactorNotFoundError,
     MorphicCover,
@@ -165,9 +169,102 @@ class TestAbelianComplexity:
     def test_constant_complexity_grid_to_5000(self):
         # full sweeps to 2000 live in the acceptance suite; extend the claim
         # to the 5000 mark on a stabilized grid
+        src = StabilizedDoubling()
         grid = [*range(2003, 5000, 83), 5000]
-        assert all(abelian_complexity(FIB, n) == 2 for n in grid)
-        assert all(abelian_complexity(T, n) == 3 for n in grid)
+        assert all(abelian_complexity(FIB, n, src) == 2 for n in grid)
+        assert all(abelian_complexity(T, n, src) == 3 for n in grid)
+
+
+CERTIFIED_MAX = 1500
+
+
+@functools.cache
+def doubling_tables():
+    """The doubling-scan tables to CERTIFIED_MAX: the pf and fib envelopes
+    and the t Parikh table, the references for the certified source."""
+    src = StabilizedDoubling(max_length=2**22)
+    return (_scan_envelope_table(PF, CERTIFIED_MAX, src),
+            _scan_envelope_table(FIB, CERTIFIED_MAX, src),
+            parikh_set_table(T, CERTIFIED_MAX, src))
+
+
+def check_certified(n):
+    """The certified pf and fib envelope tables and t Parikh table to n
+    equal the doubling scans, and their last rows the single-length answers."""
+    pf_ref, fib_ref, t_ref = doubling_tables()
+    # the builders, not the cached tables, so every n is a fresh recursion
+    for build, g, (ref_min, ref_max) in (
+            (factors._paperfolding_envelopes, PF, pf_ref),
+            (factors._fibonacci_envelopes, FIB, fib_ref)):
+        z_min, z_max = build(n)
+        assert z_min.tolist() == ref_min[:n].tolist()
+        assert z_max.tolist() == ref_max[:n].tolist()
+        env = zero_envelope(g, n, Certified())
+        assert (env.z_min, env.z_max) == (z_min[-1], z_max[-1])
+        assert parikh_set(g, n, Certified()) == parikh_set_table(
+            g, n, Certified())[-1]
+    t_table = parikh_set_table(T, n, Certified())
+    assert t_table == t_ref[:n]
+    assert parikh_set(T, n, Certified()) == t_table[-1]
+
+
+class TestCertifiedSource:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, CERTIFIED_MAX))
+    def test_equals_doubling_scan(self, n):
+        check_certified(n)
+
+    def test_equals_doubling_scan_around_powers_of_two(self):
+        for k in range(1, 11):
+            for n in (2**k - 1, 2**k, 2**k + 1):
+                check_certified(n)
+
+    def test_default_source(self):
+        for g in (PF, FIB, T):
+            assert factors.default_source(g, 10) == Certified()
+        assert factors.default_source(PHI, 30) == MorphicCover(3)
+        assert isinstance(factors.default_source(verify.MaxComplexityWord(), 10),
+                          StabilizedDoubling)
+
+    def test_other_generators_rejected(self):
+        for g in (PHI, verify.MaxComplexityWord(), fixed_point("01", "10")):
+            with pytest.raises(ConfigurationError):
+                zero_envelope_table(g, 10, Certified())
+            with pytest.raises(ConfigurationError):
+                parikh_set(g, 10, Certified())
+
+    def test_budget(self):
+        too_long = CERTIFIED_TABLE_BUDGET + 1
+        for call in (lambda: zero_envelope_table(PF, too_long),
+                     lambda: zero_envelope_table(FIB, too_long),
+                     lambda: parikh_set_table(T, too_long),
+                     lambda: frobenius.pf_witnesses(4, 5, range(20, 21))):
+            with pytest.raises(ValueError, match="CERTIFIED_TABLE_BUDGET"):
+                call()
+        # one length needs no table: O(log n) for pf, O(1) for fib and t
+        assert abelian_complexity(FIB, 10**12) == 2
+        assert abelian_complexity(T, 10**12) == 3
+        assert zero_envelope(PF, 10**10).z_max == 5000000008
+
+    def test_default_path_never_scans(self, monkeypatch, capsys):
+        def no_scan(*args):
+            raise AssertionError("a built-in word reached a prefix scan")
+
+        monkeypatch.setattr(factors, "_scan_source", no_scan)
+        monkeypatch.setattr(factors, "_ENVELOPE_CACHE",
+                            factors.weakref.WeakKeyDictionary())
+        for g, rho in ((PF, 3), (FIB, 2), (T, 3)):
+            assert len(parikh_set_table(g, 256)) == 256
+            assert len(parikh_set(g, 256)) == rho
+        for g in (PF, FIB):
+            z_min, z_max = zero_envelope_table(g, 256)
+            assert len(z_min) == len(z_max) == 256
+        assert all(r.verified_nonrepresentable
+                   for r in frobenius.pf_witnesses(4, 9, range(4, 11)))
+        for word in ("pf", "fib", "t"):
+            assert cli.main(["complexity", "--word", word, "--n-min", "1",
+                             "--n-max", "64"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestZeroEnvelope:

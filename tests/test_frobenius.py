@@ -163,6 +163,11 @@ class TestPaperfoldingWitnesses:
     def test_empty_range(self):
         assert pf_witnesses(4, 5, range(0)) == []
 
+    def test_rejects_n_below_1(self):
+        for ns in (range(0, 2), [3, -1]):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                pf_witnesses(4, 5, ns)
+
     @pytest.mark.parametrize("a, b", [(4, 5), (4, 9), (5, 7)])
     def test_matches_per_target_loop(self, a, b):
         # every target of n = 1..10, and every integer below 500, against

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobwords import ternary
-from frobwords.factors import parikh_set_table
+from frobwords.factors import StabilizedDoubling, parikh_set_table
 from frobwords.frobenius import Weights
 from frobwords.golden import TABLE2_GOLDEN
 from frobwords.ternary import (
@@ -234,7 +234,7 @@ class TestGValues:
         assert g_values(1, (2, 3, 4)) == {2, 3, 4}
 
     def test_brute_force_oracle_2_3_4(self):
-        table = parikh_set_table(T, 500)
+        table = parikh_set_table(T, 500, StabilizedDoubling())
         w = Weights((2, 3, 4))
         for n in range(2, 501):
             assert frozenset(v.dot(w) for v in table[n - 1]) == g_values(n, (2, 3, 4))
@@ -387,7 +387,7 @@ class TestIntegerKernels:
         assert [(tuple(r.weights), r.complement) for r in table2()] == [
             (w, c) for w, c in TABLE2_GOLDEN]
         assert decide_cofinite((8, 1, 1)).witness is not None
-        table = parikh_set_table(T, 300)
+        table = parikh_set_table(T, 300, StabilizedDoubling())
         w = Weights((2, 3, 4))
         assert all(g_values(n, w) == {v.dot(w) for v in table[n - 1]}
                    for n in range(2, 301))
