@@ -17,6 +17,7 @@ from .words import (
     MorphicFixedPoint,
     TernaryBalancedWord,
     WORDS,
+    PREFIX_BUDGET,
     paperfolding_letter,
     paperfolding_prefix,
     floor_phi,

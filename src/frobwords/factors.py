@@ -50,6 +50,21 @@ interval between them.  A source either scans one prefix or, as a morphic
 cover, sees exactly the factors, so the Parikh set at n is the zero envelope
 at n, and a table of them is unchanged across a doubling exactly when the
 envelope table is.  Nothing here depends on floating point.
+
+A doubling step scans only the new half and the n_max - 1 symbols before
+it.  Going from a prefix of length L to 2L, the only new windows of length
+n <= n_max are those that end in the new half, and all of them lie in
+prefix[L - n_max + 1 : 2L].  The step scans that slice and merges its
+rows into the previous result: least and most zero counts for a binary
+row, the sorted union of the pairs for a ternary one.  The merge is the
+scan of the whole 2L prefix, so the result, the length it stops at and the
+cap error are those of a full rescan, and the result is unchanged exactly
+when the new half added nothing.
+
+The binary kernel keeps its prefix sums in wrapping uint16 while every
+window length is below 2**16: a difference of two sums is then the true
+zero count modulo 2**16, and that count lies in [0, n] with n < 2**16, so
+it is exact.  Longer windows use int32.
 """
 
 from __future__ import annotations
@@ -278,12 +293,20 @@ def _scan_source(
     g: WordGenerator,
     n_max: int,
     src: FactorSource,
-    scan: Callable[[list[np.ndarray]], R],
-) -> R:
+    scan: Callable[[list[np.ndarray]], tuple],
+    merge: Callable[[R, R], R],
+) -> tuple:
     """Run a scan function over the covering strings demanded by src.
 
-    For StabilizedDoubling the scan result must support ==; the result is
-    accepted once it is unchanged across a doubling of the scanned prefix.
+    ``scan`` returns one row per window length, all lengths <= n_max;
+    ``merge`` joins two rows of one length into the row of the union of
+    their windows (``_hull`` for zero-count extrema, ``_union`` for sorted
+    sets).  Under StabilizedDoubling each step from length L to 2L scans
+    only prefix[L - n_max + 1 : 2L], the windows that end in the new half,
+    and merges it row by row into the previous result, which makes it the
+    scan of the whole 2L prefix.  The result is accepted once a doubling
+    leaves it unchanged, and StabilizationError is raised if the cap comes
+    first.
     """
     if n_max < 1:
         raise ValueError("window length must be >= 1")
@@ -304,8 +327,9 @@ def _scan_source(
             )
         previous = scan([g.prefix_array(length)])
         while 2 * length <= src.max_length:
+            tail = g.prefix_array(2 * length)[length - n_max + 1:]
             length *= 2
-            current = scan([g.prefix_array(length)])
+            current = tuple(map(merge, previous, scan([tail])))
             if current == previous:
                 return current
             previous = current
@@ -320,8 +344,8 @@ def _scan_source(
 # Window scans (numpy kernels)
 # ---------------------------------------------------------------------------
 
-def _count_prefix_sums(arr: np.ndarray, letter: int) -> np.ndarray:
-    out = np.zeros(len(arr) + 1, dtype=np.int32)
+def _count_prefix_sums(arr: np.ndarray, letter: int, dtype=np.int32) -> np.ndarray:
+    out = np.zeros(len(arr) + 1, dtype=dtype)
     np.cumsum(arr == letter, out=out[1:])
     return out
 
@@ -333,17 +357,19 @@ def _window_scan(strings: list[np.ndarray], lengths: Iterable[int], alphabet_siz
     (ternary).  Strings shorter than n are skipped.
 
     Prefix sums are built once per string; each length then costs one
-    subtraction per string into a reused buffer.  A ternary prefix sum is
-    the single code ones*B + twos with B = max(lengths) + 1, so one
-    difference gives both counts of a window in base B, and the distinct
-    codes are marked in a scatter over at most (n+1)*B entries.  Codes stay
-    below N*B for strings of length N; below N, B = 2**31 they cannot
-    overflow int64.
+    subtraction per string into a reused buffer.  Binary prefix sums wrap
+    in uint16 while every length is below 2**16 (see the module docstring),
+    else they are int32.  A ternary prefix sum is the single code
+    ones*B + twos with B = max(lengths) + 1, so one difference gives both
+    counts of a window in base B, and the distinct codes are marked in a
+    scatter over at most (n+1)*B entries.  Codes stay below N*B for strings
+    of length N; below N, B = 2**31 they cannot overflow int64.
     """
     lengths = list(lengths)
     base = max(lengths, default=0) + 1
     if alphabet_size == 2:
-        sums = [_count_prefix_sums(arr, 0) for arr in strings]
+        dtype = np.uint16 if base <= 2**16 else np.int32
+        sums = [_count_prefix_sums(arr, 0, dtype) for arr in strings]
     elif alphabet_size == 3:
         weights = np.array([0, base, 1], dtype=np.int64)
         sums = []
@@ -377,8 +403,32 @@ def _window_scan(strings: list[np.ndarray], lengths: Iterable[int], alphabet_siz
             yield tuple(sorted(pairs))
 
 
+def _hull(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """Merge of two (least, most) zero-count rows."""
+    return min(a[0], b[0]), max(a[1], b[1])
+
+
+def _union(a: tuple, b: tuple) -> tuple:
+    """Merge of two sorted rows of distinct items."""
+    return tuple(sorted(set(a).union(b)))
+
+
+def _scan_rows(g: WordGenerator, lengths: Sequence[int], src: FactorSource) -> tuple:
+    """One kernel row per window length in lengths (ascending), over the
+    strings src demands."""
+    k = g.alphabet_size
+    return _scan_source(g, lengths[-1], src,
+                        lambda strings: tuple(_window_scan(strings, lengths, k)),
+                        _hull if k == 2 else _union)
+
+
 def _binary_parikhs(n: int, z_min: int, z_max: int) -> tuple[ParikhVector, ...]:
-    return tuple(ParikhVector((z, n - z)) for z in range(z_min, z_max + 1))
+    """The vectors (z, n - z) for z_min <= z <= z_max; the range is checked
+    once instead of per vector."""
+    if z_min < 0 or z_max > n:
+        raise ValueError("counts must be nonnegative")
+    new = tuple.__new__
+    return tuple(new(ParikhVector, (z, n - z)) for z in range(z_min, z_max + 1))
 
 
 def _ternary_parikhs(n: int, pairs) -> tuple[ParikhVector, ...]:
@@ -389,49 +439,50 @@ def _ternary_parikhs(n: int, pairs) -> tuple[ParikhVector, ...]:
 # Certified envelopes (no scan)
 # ---------------------------------------------------------------------------
 
-def _paperfolding_step(length, half_down, half_up):
-    """pf envelopes at ``length`` (an int or an int array) from those at
-    floor(length/2) (``half_down``) and ceil(length/2) (``half_up``).
+def _paperfolding_step(length, half_down, half_up, least=min, most=max):
+    """pf envelopes at ``length`` from those at floor(length/2)
+    (``half_down``) and ceil(length/2) (``half_up``).
 
-    Envelopes are indexed [start parity (0 even, 1 odd), least/most zeros].
-    A window at i = q (mod 4) holds (length + 3 - (1-q) % 4) // 4 zeros at
-    its odd positions, those = 1 (mod 4); its even positions are the window
-    at ceil(i/2), odd for q in {1, 2} and even for q in {3, 0}, of length
-    floor(length/2) for odd i and ceil(length/2) for even i.
+    An envelope is the 4-tuple (least, most) zeros over even starts, then
+    (least, most) over odd starts.  The step runs on plain ints for one
+    length, and on int arrays of lengths with ``least=np.minimum`` and
+    ``most=np.maximum``.  A window at i = q (mod 4) holds
+    (length + 3 - (1-q) % 4) // 4 zeros at its odd positions, those = 1
+    (mod 4); its even positions are the window at ceil(i/2), odd for q in
+    {1, 2} and even for q in {3, 0}, of length floor(length/2) for odd i
+    and ceil(length/2) for even i.
     """
-    def odd_zeros(q):
-        return (length + 3 - (1 - q) % 4) // 4
-
-    # [start parity][class q][least/most]
-    terms = np.stack([
-        [odd_zeros(2) + half_up[1], odd_zeros(0) + half_up[0]],
-        [odd_zeros(1) + half_down[1], odd_zeros(3) + half_down[0]],
-    ])
-    return np.stack([terms[:, :, 0].min(axis=1), terms[:, :, 1].max(axis=1)],
-                    axis=1)
+    z0, z1, z2, z3 = ((length + 3 - (1 - q) % 4) // 4 for q in range(4))
+    down_even_lo, down_even_hi, down_odd_lo, down_odd_hi = half_down
+    up_even_lo, up_even_hi, up_odd_lo, up_odd_hi = half_up
+    return (least(z2 + up_odd_lo, z0 + up_even_lo),
+            most(z2 + up_odd_hi, z0 + up_even_hi),
+            least(z1 + down_odd_lo, z3 + down_even_lo),
+            most(z1 + down_odd_hi, z3 + down_even_hi))
 
 
-_PF_LENGTH_1 = np.array([[0, 1], [0, 1]], dtype=np.int64)  # both parities
+_PF_LENGTH_1 = (0, 1, 0, 1)  # both parities
 
 
 def _paperfolding_envelopes(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """(z_min, z_max) of pf for lengths 1..n_max.  Lengths below 2*start - 1
     need only lengths below start, so each numpy step takes all of them."""
-    env = np.zeros((2, 2, n_max + 1), dtype=np.int64)  # length 0: empty
-    env[:, :, 1] = _PF_LENGTH_1
+    env = np.zeros((4, n_max + 1), dtype=np.int64)  # length 0: empty
+    env[:, 1] = _PF_LENGTH_1
     start = 2
     while start <= n_max:
         stop = min(2 * start - 1, n_max + 1)
         length = np.arange(start, stop)
-        env[:, :, start:stop] = _paperfolding_step(
-            length, env[:, :, length // 2], env[:, :, (length + 1) // 2])
+        env[:, start:stop] = _paperfolding_step(
+            length, env[:, length // 2], env[:, (length + 1) // 2],
+            np.minimum, np.maximum)
         start = stop
-    return env[:, 0, 1:].min(axis=0), env[:, 1, 1:].max(axis=0)
+    return np.minimum(env[0, 1:], env[2, 1:]), np.maximum(env[1, 1:], env[3, 1:])
 
 
 def _paperfolding_envelope(n: int) -> tuple[int, int]:
     """(z_min, z_max) of pf at one length n, from the at most two lengths
-    floor and ceil of n / 2**k at each level k."""
+    floor and ceil of n / 2**k at each level k, in plain ints."""
     lengths = frontier = {n}
     while frontier:
         frontier = {h for m in frontier if m > 1
@@ -440,7 +491,8 @@ def _paperfolding_envelope(n: int) -> tuple[int, int]:
     env = {1: _PF_LENGTH_1}
     for m in sorted(lengths - {1}):
         env[m] = _paperfolding_step(m, env[m // 2], env[(m + 1) // 2])
-    return int(env[n][:, 0].min()), int(env[n][:, 1].max())
+    even_lo, even_hi, odd_lo, odd_hi = env[n]
+    return min(even_lo, odd_lo), max(even_hi, odd_hi)
 
 
 def _fibonacci_envelopes(n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -508,8 +560,7 @@ def parikh_set(g: WordGenerator, n: int, src: FactorSource | None = None):
         raise ValueError("only alphabets of size 2 and 3 are supported")
     if isinstance(src, Certified):
         return _lifted_parikhs(n, *_certified(g, n, table=False))
-    pairs = _scan_source(g, n, src, lambda s: next(_window_scan(s, [n], 3)))
-    return _ternary_parikhs(n, pairs)
+    return _ternary_parikhs(n, _scan_rows(g, [n], src)[0])
 
 
 def parikh_set_table(g: WordGenerator, n_max: int, src: FactorSource | None = None):
@@ -533,8 +584,7 @@ def parikh_set_table(g: WordGenerator, n_max: int, src: FactorSource | None = No
         z_min, z_max = _certified(g, n_max, table=True)
         return [_lifted_parikhs(n, lo, hi) for n, lo, hi in
                 zip(range(1, n_max + 1), z_min.tolist(), z_max.tolist())]
-    table = _scan_source(
-        g, n_max, src, lambda s: tuple(_window_scan(s, range(1, n_max + 1), 3)))
+    table = _scan_rows(g, range(1, n_max + 1), src)
     return [_ternary_parikhs(n, row) for n, row in enumerate(table, start=1)]
 
 
@@ -552,8 +602,7 @@ def zero_envelope(g: WordGenerator, n: int, src: FactorSource | None = None) -> 
     if isinstance(src, Certified):
         z_min, z_max = _certified(g, n, table=False)
     else:
-        z_min, z_max = _scan_source(
-            g, n, src, lambda s: next(_window_scan(s, [n], 2)))
+        z_min, z_max = _scan_rows(g, [n], src)[0]
     return ZeroEnvelope(n, z_min, z_max)
 
 
@@ -566,8 +615,7 @@ def _scan_envelope_table(
     This is the table under doubling and explicit prefixes, and the
     reference the desubstitution recursion is checked against.
     """
-    table = _scan_source(
-        g, n_max, src, lambda s: tuple(_window_scan(s, range(1, n_max + 1), 2)))
+    table = _scan_rows(g, range(1, n_max + 1), src)
     z_min, z_max = np.array(table, dtype=np.int64).T
     return z_min.copy(), z_max.copy()
 

@@ -132,7 +132,7 @@ def _fills_envelope(g: WordGenerator, n_max: int, src) -> bool:
     marking every window of the strings src demands fill the interval of
     the envelope table.  The reference for the interval lemma behind
     ``factors.parikh_set`` of binary words; under doubling it stabilizes on
-    the marked sets themselves."""
+    the marked sets themselves, merged step by step as unions."""
 
     def scan(strings):
         zs = [factors._count_prefix_sums(arr, 0) for arr in strings]
@@ -146,7 +146,7 @@ def _fills_envelope(g: WordGenerator, n_max: int, src) -> bool:
         return tuple(table)
 
     z_min, z_max = zero_envelope_table(g, n_max, src)
-    return factors._scan_source(g, n_max, src, scan) == tuple(
+    return factors._scan_source(g, n_max, src, scan, factors._union) == tuple(
         tuple(range(lo, hi + 1)) for lo, hi in zip(z_min.tolist(), z_max.tolist()))
 
 

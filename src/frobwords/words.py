@@ -31,6 +31,7 @@ __all__ = [
     "MorphicFixedPoint",
     "TernaryBalancedWord",
     "WORDS",
+    "PREFIX_BUDGET",
     "paperfolding_letter",
     "paperfolding_prefix",
     "floor_phi",
@@ -47,6 +48,11 @@ __all__ = [
 
 # Largest n for which 5*n*n fits comfortably in int64 during array generation.
 _BEATTY_ARRAY_LIMIT = 1_300_000_000
+
+#: Longest prefix ``WordGenerator.prefix`` builds as a FiniteWord.  Such a
+#: word holds one Python int per symbol; with its array and its text it
+#: costs about 92 bytes per symbol, so about 96 MiB at this length.
+PREFIX_BUDGET = 2**20
 
 
 class ConfigurationError(ValueError):
@@ -207,10 +213,23 @@ def paperfolding_letter(n: int) -> int:
     return (m >> 1) & 1
 
 
+def _pf_letters(idx: np.ndarray) -> np.ndarray:
+    """paperfolding_letter over an unsigned index array, with no division.
+
+    For i = m * 2**j with m odd, i & -i is 2**j, so bit j+1 of i, which is
+    bit 1 of m, is i & ((i & -i) << 1).  The shift may carry out of the
+    top bit only when m = 1, whose letter is 0 either way.
+    """
+    low = np.negative(idx)
+    low &= idx
+    low <<= 1
+    low &= idx
+    return (low != 0).view(np.uint8)
+
+
 def _pf_array_direct(n: int) -> np.ndarray:
-    idx = np.arange(1, n + 1, dtype=np.int64)
-    odd_part = idx // (idx & -idx)
-    return ((odd_part >> 1) & 1).astype(np.uint8)
+    dtype = np.uint32 if n < 2**32 else np.uint64
+    return _pf_letters(np.arange(1, n + 1, dtype=dtype))
 
 
 def _pf_array_recursive(n: int) -> np.ndarray:
@@ -302,13 +321,17 @@ def _isqrt_array(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def floor_phi_array(n_max: int) -> np.ndarray:
-    """floor(n*phi) for n = 0..n_max as an int64 array, exact."""
+def _require_beatty_array(n_max: int) -> None:
     if n_max > _BEATTY_ARRAY_LIMIT:
         raise OverflowError(
             f"5*n^2 exceeds int64 for n > {_BEATTY_ARRAY_LIMIT}; "
             "use the scalar floor_phi instead"
         )
+
+
+def floor_phi_array(n_max: int) -> np.ndarray:
+    """floor(n*phi) for n = 0..n_max as an int64 array, exact."""
+    _require_beatty_array(n_max)
     n = np.arange(n_max + 1, dtype=np.int64)
     return (n + _isqrt_array(5 * n * n)) >> 1
 
@@ -457,6 +480,12 @@ class WordGenerator:
         return self._cache[:n]
 
     def prefix(self, n: int) -> FiniteWord:
+        """The length-n prefix as a FiniteWord; a ValueError names
+        PREFIX_BUDGET, before anything is built, if n exceeds it."""
+        if n > PREFIX_BUDGET:
+            raise ValueError(
+                f"a prefix of {n} symbols exceeds the budget "
+                f"PREFIX_BUDGET = {PREFIX_BUDGET} symbols")
         return FiniteWord.from_array(self.prefix_array(n), self.alphabet_size)
 
     def __repr__(self) -> str:
@@ -480,6 +509,10 @@ class FibonacciWord(WordGenerator):
 
     def _build(self, n):
         return _fib_array(n)
+
+    def prefix(self, n):
+        _require_beatty_array(n + 1)  # no array reaches that far at all
+        return super().prefix(n)
 
     def letter(self, n):
         return fibonacci_letter(n)
@@ -516,6 +549,10 @@ class TernaryBalancedWord(WordGenerator):
 
     def _build(self, n):
         return _ternary_t_array(n)
+
+    def prefix(self, n):
+        _require_beatty_array(n + 1)  # no array reaches that far at all
+        return super().prefix(n)
 
     def letter(self, n):
         return ternary_t_letter(n)

@@ -7,6 +7,7 @@ import pytest
 from frobwords import ternary
 from frobwords.cli import main
 from frobwords.factors import StabilizationError
+from frobwords.words import PREFIX_BUDGET, paperfolding_letter
 
 
 def run(capsys, *argv):
@@ -43,6 +44,22 @@ class TestPrefix:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("error: ") and "1300000000" in err
+
+    def test_at_budget(self, capsys):
+        code, out, err = run(capsys, "prefix", "--word", "pf",
+                             "--n", str(PREFIX_BUDGET))
+        assert (code, err) == (0, "")
+        text = out.strip()
+        assert len(text) == PREFIX_BUDGET
+        assert text[-1] == str(paperfolding_letter(PREFIX_BUDGET))
+
+    @pytest.mark.parametrize("word", ["pf", "phi", "t"])
+    def test_over_budget(self, capsys, word):
+        code, out, err = run(capsys, "prefix", "--word", word,
+                             "--n", str(PREFIX_BUDGET + 1))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "PREFIX_BUDGET" in err
 
     def test_json_envelope(self, capsys):
         code, out, _ = run(capsys, "prefix", "--word", "pf", "--n", "12",

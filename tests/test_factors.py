@@ -1,6 +1,7 @@
 """Factor scanning: Parikh sets, envelopes, balance, occurrence residues."""
 
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from frobwords.factors import (
     MorphicCover,
     StabilizationError,
     StabilizedDoubling,
+    ZeroEnvelope,
     abelian_complexity,
     is_balanced,
     parikh,
@@ -34,6 +36,7 @@ from frobwords.words import (
     MorphicFixedPoint,
     Morphism,
     WORDS,
+    WordGenerator,
 )
 
 PF, FIB, PHI, T = WORDS["pf"], WORDS["fib"], WORDS["phi"], WORDS["t"]
@@ -265,6 +268,123 @@ class TestCertifiedSource:
             assert cli.main(["complexity", "--word", word, "--n-min", "1",
                              "--n-max", "64"]) == 0
         assert capsys.readouterr().err == ""
+
+
+def full_rescan_stop(n_max, src, answer):
+    """The prefix length at which doubling with a whole-prefix rescan at
+    every step accepts, where ``answer(length)`` is the answer on that
+    prefix; or the StabilizationError that loop raises."""
+    length = max(src.initial_length or 64 * n_max, n_max)
+    if 2 * length > src.max_length:
+        raise StabilizationError(
+            f"initial length {length} leaves no doubling below the cap "
+            f"{src.max_length}")
+    previous = answer(length)
+    while 2 * length <= src.max_length:
+        length *= 2
+        current = answer(length)
+        if current == previous:
+            return length
+        previous = current
+    raise StabilizationError(
+        f"no stabilization for windows of length {n_max} below prefix cap "
+        f"{src.max_length}")
+
+
+class MarkedPaperfolding(WordGenerator):
+    """A 2, then pf: only the windows at the very start hold a 2, so a
+    doubling step that dropped the earlier rows would lose their pairs."""
+
+    family = "2pf"
+    alphabet_size = 3
+
+    def _build(self, n):
+        return np.concatenate([[2], PF.prefix_array(n - 1)]).astype(np.uint8)
+
+    def letter(self, n):
+        return 2 if n == 1 else PF.letter(n - 1)
+
+
+class ZerosThenOnes(WordGenerator):
+    """2**17 zeros, then ones: at every length up to 2**17 some window is
+    all zeros, the count a uint16 sum cannot hold at 2**16."""
+
+    def _build(self, n):
+        return (np.arange(n) >= 2**17).astype(np.uint8)
+
+    def letter(self, n):
+        return int(n > 2**17)
+
+
+STAIRCASE = verify.MaxComplexityWord()
+ZEROS = ZerosThenOnes()
+MARKED = MarkedPaperfolding()
+
+
+def doubling_answers(g, n_max):
+    """(table, single n) answers under a source, as comparable values."""
+    if g.alphabet_size == 2:
+        def table(src):
+            return [a.tolist() for a in _scan_envelope_table(g, n_max, src)]
+
+        def single(src):
+            return zero_envelope(g, n_max, src)
+    else:
+        def table(src):
+            return parikh_set_table(g, n_max, src)
+
+        def single(src):
+            return parikh_set(g, n_max, src)
+    return table, single
+
+
+class TestIncrementalDoubling:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([PF, FIB, T, PHI, STAIRCASE, MARKED, ZEROS]),
+           st.integers(1, 150),
+           st.one_of(st.none(), st.integers(1, 4000)),
+           st.integers(1, 9))
+    @example(PF, 64, None, 0)                  # no doubling below the cap
+    @example(STAIRCASE, 100, 100, 4)           # the cap comes first
+    @example(STAIRCASE, 40, 40, 9)             # stops after several doublings
+    @example(PF, 150, 150, 9)
+    @example(MARKED, 30, 30, 9)
+    @example(STAIRCASE, 300, 300, 12)          # stops at 128 * n_max
+    def test_equals_full_rescan(self, g, n_max, initial, doublings):
+        """The answer, and the longest prefix asked for, are those of the
+        loop that rescans the whole prefix at every doubling; the cap
+        allows at most ``doublings`` of them."""
+        cap = max(initial or 64 * n_max, n_max) << doublings
+        src = StabilizedDoubling(initial_length=initial, max_length=cap)
+        for answer in doubling_answers(g, n_max):
+            try:
+                stop = full_rescan_stop(
+                    n_max, src, lambda length: answer(ExplicitPrefix(length)))
+            except StabilizationError as exc:
+                with pytest.raises(StabilizationError) as got:
+                    answer(src)
+                assert str(got.value) == str(exc)
+                continue
+            with mock.patch.object(g, "prefix_array",
+                                   wraps=g.prefix_array) as prefix_array:
+                got = answer(src)
+            assert got == answer(ExplicitPrefix(stop))
+            assert max(c.args[0] for c in prefix_array.call_args_list) == stop
+
+    def test_fills_envelope_merges_unions(self):
+        assert verify._fills_envelope(STAIRCASE, 40, StabilizedDoubling(40))
+
+
+class TestBinaryKernelWidth:
+    @pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1])
+    def test_uint16_switch_matches_int64(self, n):
+        for g in (PF, ZEROS):
+            prefix = g.prefix_array(2**18)
+            sums = np.zeros(len(prefix) + 1, dtype=np.int64)
+            np.cumsum(prefix == 0, out=sums[1:])
+            zeros = sums[n:] - sums[:-n]
+            want = ZeroEnvelope(n, int(zeros.min()), int(zeros.max()))
+            assert zero_envelope(g, n, ExplicitPrefix(2**18)) == want
 
 
 class TestZeroEnvelope:

@@ -5,6 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from frobwords.words import (
+    _pf_array_direct,
+    _pf_array_recursive,
+    _pf_array_toeplitz,
+    _pf_letters,
     _replace_alternate_zeros_array,
     ConfigurationError,
     FiniteWord,
@@ -82,6 +86,23 @@ class TestPaperfolding:
     def test_letter_matches_recursive_prefix(self, n):
         w = paperfolding_prefix(n, "recursive")
         assert w[n - 1] == paperfolding_letter(n)
+
+    def test_builders_agree_around_powers_of_two(self):
+        for k in range(1, 21):
+            for n in (2**k - 1, 2**k, 2**k + 1):
+                direct = _pf_array_direct(n)
+                assert direct.dtype == np.uint8 and len(direct) == n
+                assert np.array_equal(direct, _pf_array_recursive(n)), n
+                assert np.array_equal(direct, _pf_array_toeplitz(n)), n
+
+    def test_letter_rule_across_2_to_32(self):
+        # the uint64 indices the builder switches to from 2**32 on, and the
+        # top of the uint32 range, where (i & -i) << 1 carries out
+        wide = np.arange(2**32 - 8, 2**32 + 8, dtype=np.uint64)
+        narrow = np.arange(2**32 - 8, 2**32, dtype=np.uint32)
+        for idx in (wide, narrow):
+            assert _pf_letters(idx).tolist() == [
+                paperfolding_letter(int(i)) for i in idx]
 
 
 class TestBeatty:
