@@ -100,6 +100,7 @@ __all__ = [
     "StabilizedDoubling",
     "Certified",
     "CERTIFIED_TABLE_BUDGET",
+    "COVER_BUDGET",
     "default_source",
     "parikh",
     "parikh_set",
@@ -145,10 +146,7 @@ class ParikhVector(tuple):
 
 def parikh(w: FiniteWord) -> ParikhVector:
     """Exact letter counts of w, indexed by letter."""
-    counts = [0] * w.alphabet_size
-    for s in w.symbols:
-        counts[s] += 1
-    return ParikhVector(counts)
+    return ParikhVector(np.bincount(w.array, minlength=w.alphabet_size).tolist())
 
 
 @dataclass(frozen=True)
@@ -212,6 +210,10 @@ FactorSource = ExplicitPrefix | MorphicCover | StabilizedDoubling | Certified
 #: bound is set by the Parikh table of pf, about 744,000 vectors and 120 MiB
 #: at this length.
 CERTIFIED_TABLE_BUDGET = 2**16
+
+#: Most symbols a MorphicCover may build, checked first: the four phi strings
+#: take 39,062,500 at power 10 (windows up to 5^10), 195,312,500 at power 11.
+COVER_BUDGET = 2**26
 
 # Read-only per-generator caches; keys die with their generators.
 _COVER_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -279,10 +281,13 @@ def _morphic_cover_strings(g: MorphicFixedPoint, power: int) -> list[np.ndarray]
     if power in per_gen:
         return per_gen[power]
     m = g.morphism
-    strings = [
-        m.power_array(np.array(p, dtype=np.uint8), power)
-        for p in _length2_factors(m, g.seed)
-    ]
+    pairs = _length2_factors(m, g.seed)
+    size = len(pairs) * m.uniform_length**power
+    if size > COVER_BUDGET:
+        raise ValueError(
+            f"a power-{power} cover of {size} symbols exceeds the budget "
+            f"COVER_BUDGET = {COVER_BUDGET} symbols")
+    strings = [m.power_array(np.array(p, dtype=np.uint8), power) for p in pairs]
     for s in strings:
         s.setflags(write=False)
     per_gen[power] = strings
@@ -637,7 +642,7 @@ def _desubstitution_envelopes(
     """
     m = g.morphism
     ell, k = m.uniform_length, m.alphabet_size
-    images = np.stack([img.to_array() for img in m.images])
+    images = np.stack([img.array for img in m.images])
     zero_prefix = np.zeros((k, ell + 1), dtype=np.int64)
     np.cumsum(images == 0, axis=1, out=zero_prefix[:, 1:])
     z0, z1 = int(zero_prefix[0, ell]), int(zero_prefix[1, ell])
@@ -738,13 +743,8 @@ def is_balanced(
 ) -> bool:
     """True if per-letter counts of equal-length factors spread at most c apart,
     for every length up to max_len."""
-    table = parikh_set_table(g, max_len, src)
-    for row in table:
-        for letter in range(g.alphabet_size):
-            values = [v[letter] for v in row]
-            if max(values) - min(values) > c:
-                return False
-    return True
+    return all(max(counts) - min(counts) <= c
+               for row in parikh_set_table(g, max_len, src) for counts in zip(*row))
 
 
 def welldoc_check(
@@ -758,11 +758,10 @@ def welldoc_check(
     if w.alphabet_size != g.alphabet_size:
         raise ValueError("alphabet mismatch between factor and word")
     k = g.alphabet_size
-    pattern = w.to_array()
-    text = g.prefix_array(scan_limit + len(pattern))
+    text = g.prefix_array(scan_limit + len(w))
     hits = np.flatnonzero(
         np.all(
-            np.lib.stride_tricks.sliding_window_view(text, len(pattern)) == pattern,
+            np.lib.stride_tricks.sliding_window_view(text, len(w)) == w.array,
             axis=1,
         )
     )
@@ -772,9 +771,7 @@ def welldoc_check(
             f"{w} not found in the first {scan_limit} positions"
         )
     sums = [_count_prefix_sums(text, letter) for letter in range(k)]
-    residues = {
-        tuple(int(sums[letter][p]) % modulus for letter in range(k)) for p in hits
-    }
+    residues = set(zip(*[(s[hits] % modulus).tolist() for s in sums]))
     return WelldocReport(
         complete=len(residues) == modulus**k,
         residues_found=frozenset(residues),

@@ -49,9 +49,9 @@ __all__ = [
 # Largest n for which 5*n*n fits comfortably in int64 during array generation.
 _BEATTY_ARRAY_LIMIT = 1_300_000_000
 
-#: Longest prefix ``WordGenerator.prefix`` builds as a FiniteWord.  Such a
-#: word holds one Python int per symbol; with its array and its text it
-#: costs about 92 bytes per symbol, so about 96 MiB at this length.
+#: Longest prefix ``WordGenerator.prefix`` builds as a FiniteWord.  Its
+#: uint8 array and its text take one byte per symbol each; at this length
+#: `prefix --word pf` peaks at 41 MiB RSS, fib and t at 73 MiB (Beatty floors).
 PREFIX_BUDGET = 2**20
 
 
@@ -60,20 +60,31 @@ class ConfigurationError(ValueError):
 
 
 class FiniteWord:
-    """An immutable finite word over the alphabet {0, ..., alphabet_size-1}."""
+    """An immutable finite word over the alphabet {0, ..., alphabet_size-1}:
+    a private read-only uint8 copy ``array`` of a digit string or of any
+    sequence, iterable or array of integers."""
 
-    __slots__ = ("symbols", "alphabet_size")
+    __slots__ = ("array", "alphabet_size")
 
-    def __init__(self, symbols: Sequence[int], alphabet_size: int | None = None):
-        syms = tuple(int(s) for s in symbols)
+    def __init__(self, symbols, alphabet_size: int | None = None):
+        if not isinstance(symbols, (np.ndarray, list, tuple)):
+            symbols = list(symbols)  # an iterable, or a string of digits
+        arr = np.asarray(symbols)
+        if arr.dtype.kind == "U":  # digits; numpy raises ValueError on others
+            arr = arr.astype(np.int64)
+        if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "biu"):
+            raise ValueError("symbols must be a flat sequence of integers")
         if alphabet_size is None:
-            alphabet_size = max(2, max(syms) + 1 if syms else 2)
-        if alphabet_size < 1:
-            raise ValueError("alphabet_size must be positive")
-        for s in syms:
-            if not 0 <= s < alphabet_size:
-                raise ValueError(f"symbol {s} outside alphabet of size {alphabet_size}")
-        object.__setattr__(self, "symbols", syms)
+            alphabet_size = max(2, int(arr.max()) + 1 if arr.size else 2)
+        if not 1 <= alphabet_size <= 256:
+            raise ValueError(f"alphabet_size {alphabet_size} outside 1..256, "
+                             "the letters a uint8 symbol can hold")
+        outside = arr[(arr < 0) | (arr >= alphabet_size)]
+        if outside.size:
+            raise ValueError(f"symbol {outside[0]} outside alphabet of size {alphabet_size}")
+        arr = arr.astype(np.uint8)  # a copy, even of a uint8 input
+        arr.setflags(write=False)
+        object.__setattr__(self, "array", arr)
         object.__setattr__(self, "alphabet_size", alphabet_size)
 
     def __setattr__(self, name, value):
@@ -81,54 +92,53 @@ class FiniteWord:
 
     @classmethod
     def from_string(cls, text: str, alphabet_size: int | None = None) -> "FiniteWord":
-        return cls([int(c) for c in text], alphabet_size)
+        return cls(text, alphabet_size)
 
-    @classmethod
-    def from_array(cls, arr: np.ndarray, alphabet_size: int | None = None) -> "FiniteWord":
-        return cls(arr.tolist(), alphabet_size)
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self.symbols, dtype=np.uint8)
+    @property
+    def symbols(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
 
     def count(self, letter: int) -> int:
-        return self.symbols.count(letter)
+        return int(np.count_nonzero(self.array == letter))
 
     def complement(self) -> "FiniteWord":
         """Binary complement 0 <-> 1."""
         if self.alphabet_size != 2:
             raise ValueError("complement is defined for binary words only")
-        return FiniteWord(tuple(1 - s for s in self.symbols), 2)
+        return FiniteWord(self.array ^ 1, 2)
 
     def reverse(self) -> "FiniteWord":
-        return FiniteWord(self.symbols[::-1], self.alphabet_size)
+        return FiniteWord(self.array[::-1], self.alphabet_size)
 
     def __len__(self) -> int:
-        return len(self.symbols)
+        return len(self.array)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return FiniteWord(self.symbols[i], self.alphabet_size)
-        return self.symbols[i]
+            return FiniteWord(self.array[i], self.alphabet_size)
+        return int(self.array[i])
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.symbols)
+        return iter(self.array.tolist())
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FiniteWord)
-            and self.symbols == other.symbols
             and self.alphabet_size == other.alphabet_size
+            and np.array_equal(self.array, other.array)
         )
 
     def __hash__(self) -> int:
-        return hash((self.symbols, self.alphabet_size))
+        return hash((self.array.tobytes(), self.alphabet_size))
 
     def __add__(self, other: "FiniteWord") -> "FiniteWord":
         k = max(self.alphabet_size, other.alphabet_size)
-        return FiniteWord(self.symbols + other.symbols, k)
+        return FiniteWord(np.concatenate([self.array, other.array]), k)
 
     def __str__(self) -> str:
-        return "".join(str(s) for s in self.symbols)
+        if self.alphabet_size <= 10:
+            return (self.array + ord("0")).tobytes().decode()
+        return "".join(map(str, self.array.tolist()))
 
     def __repr__(self) -> str:
         return f"FiniteWord({str(self)!r}, alphabet_size={self.alphabet_size})"
@@ -158,7 +168,7 @@ class Morphism:
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "uniform_length", uniform)
         if uniform is not None and uniform > 0:
-            mat = np.stack([img.to_array() for img in images])
+            mat = np.stack([img.array for img in images])
         else:
             mat = None
         object.__setattr__(self, "_image_matrix", mat)
@@ -171,15 +181,13 @@ class Morphism:
         return len(self.images)
 
     def apply(self, word: FiniteWord) -> FiniteWord:
-        return FiniteWord.from_array(self.apply_array(word.to_array()), self.alphabet_size)
+        return FiniteWord(self.apply_array(word.array), self.alphabet_size)
 
     def apply_array(self, arr: np.ndarray) -> np.ndarray:
         if self._image_matrix is not None:
             return self._image_matrix[arr].ravel()
         return np.concatenate(
-            [self.images[s].to_array() for s in arr]
-            or [np.empty(0, dtype=np.uint8)]
-        )
+            [np.empty(0, dtype=np.uint8)] + [self.images[s].array for s in arr])
 
     def power_array(self, arr: np.ndarray, t: int) -> np.ndarray:
         """Apply the morphism t times to an array word."""
@@ -270,7 +278,7 @@ def paperfolding_prefix(n: int, construction: str = "direct") -> FiniteWord:
         build = builders[construction]
     except KeyError:
         raise ValueError(f"unknown construction {construction!r}") from None
-    return FiniteWord.from_array(build(n), 2)
+    return FiniteWord(build(n), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +360,20 @@ def fibonacci_prefix(n: int) -> FiniteWord:
     """Length-n prefix of the Fibonacci word over {0,1}."""
     if n < 1:
         raise ValueError("prefix length must be >= 1")
-    return FiniteWord.from_array(_fib_array(n), 2)
+    return FiniteWord(_fib_array(n), 2)
 
 
 # ---------------------------------------------------------------------------
 # Morphic fixed points
 # ---------------------------------------------------------------------------
+
+def _require_prolongable(m: Morphism, seed: int) -> None:
+    if not 0 <= seed < m.alphabet_size:
+        raise ConfigurationError(f"seed {seed} outside alphabet")
+    first = m.images[seed]
+    if len(first) == 0 or first[0] != seed:
+        raise ConfigurationError("morphism is not prolongable on the seed")
+
 
 def iterate_morphism(m: Morphism, seed: int, target_length: int) -> FiniteWord:
     """Length-target_length prefix of the fixed point of m starting at seed.
@@ -367,11 +383,7 @@ def iterate_morphism(m: Morphism, seed: int, target_length: int) -> FiniteWord:
     """
     if target_length < 1:
         raise ValueError("target_length must be >= 1")
-    if not 0 <= seed < m.alphabet_size:
-        raise ConfigurationError(f"seed {seed} outside alphabet")
-    first = m.images[seed]
-    if len(first) == 0 or first[0] != seed:
-        raise ConfigurationError("morphism is not prolongable on the seed")
+    _require_prolongable(m, seed)
     arr = np.array([seed], dtype=np.uint8)
     while len(arr) < target_length:
         new = m.apply_array(arr)
@@ -380,17 +392,15 @@ def iterate_morphism(m: Morphism, seed: int, target_length: int) -> FiniteWord:
                 "morphism does not grow past the seed; no infinite fixed point"
             )
         arr = new
-    return FiniteWord.from_array(arr[:target_length], m.alphabet_size)
+    return FiniteWord(arr[:target_length], m.alphabet_size)
 
 
 def incidence_matrix(m: Morphism) -> np.ndarray:
     """k x k matrix whose column i is the letter-count vector of the image of i."""
     k = m.alphabet_size
-    mat = np.zeros((k, k), dtype=np.int64)
-    for i, img in enumerate(m.images):
-        for letter in img:
-            mat[letter, i] += 1
-    return mat
+    return np.stack(
+        [np.bincount(img.array, minlength=k) for img in m.images], axis=1
+    ).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +418,7 @@ def replace_alternate_zeros(w: FiniteWord, start: str = "second") -> FiniteWord:
         raise ValueError("input must be binary")
     if start not in ("second", "first"):
         raise ValueError(f"start must be 'second' or 'first', got {start!r}")
-    arr = w.to_array().astype(np.uint8)
-    return FiniteWord.from_array(_replace_alternate_zeros_array(arr, start), 3)
+    return FiniteWord(_replace_alternate_zeros_array(w.array, start), 3)
 
 
 def _replace_alternate_zeros_array(arr: np.ndarray, start: str) -> np.ndarray:
@@ -442,7 +451,7 @@ def ternary_t_prefix(n: int) -> FiniteWord:
     """Length-n prefix of t = every-second-zero substitution of the Fibonacci word."""
     if n < 1:
         raise ValueError("prefix length must be >= 1")
-    return FiniteWord.from_array(_ternary_t_array(n), 3)
+    return FiniteWord(_ternary_t_array(n), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +495,7 @@ class WordGenerator:
             raise ValueError(
                 f"a prefix of {n} symbols exceeds the budget "
                 f"PREFIX_BUDGET = {PREFIX_BUDGET} symbols")
-        return FiniteWord.from_array(self.prefix_array(n), self.alphabet_size)
+        return FiniteWord(self.prefix_array(n), self.alphabet_size)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.family!r}>"
@@ -525,9 +534,7 @@ class MorphicFixedPoint(WordGenerator):
 
     def __init__(self, morphism: Morphism = PHI_MORPHISM, seed: int = 0,
                  family: str = "phi"):
-        first = morphism.images[seed]
-        if len(first) == 0 or first[0] != seed:
-            raise ConfigurationError("morphism is not prolongable on the seed")
+        _require_prolongable(morphism, seed)
         super().__init__()
         self.morphism = morphism
         self.seed = seed
@@ -535,7 +542,7 @@ class MorphicFixedPoint(WordGenerator):
         self.alphabet_size = morphism.alphabet_size
 
     def _build(self, n):
-        return iterate_morphism(self.morphism, self.seed, n).to_array()
+        return iterate_morphism(self.morphism, self.seed, n).array
 
     def letter(self, n):
         if n < 1:

@@ -107,6 +107,15 @@ class TestComplexity:
         assert (code, err) == (0, "")
         assert out.splitlines()[1] == f"{n},{rho},"
 
+    def test_phi_beyond_cover_budget(self, capsys):
+        # Used to end in a numpy _ArrayMemoryError traceback under a 2 GB
+        # address-space limit.
+        code, out, err = run(capsys, "complexity", "--word", "phi",
+                             "--n-min", "100000000", "--n-max", "100000000")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "COVER_BUDGET" in err
+
     def test_csv_has_header(self, capsys):
         _, out, _ = run(capsys, "complexity", "--word", "fib",
                         "--n-min", "1", "--n-max", "3", "--format", "csv")

@@ -13,6 +13,7 @@ from frobwords.factors import (
     _scan_envelope_table,
     _window_scan,
     CERTIFIED_TABLE_BUDGET,
+    COVER_BUDGET,
     Certified,
     ExplicitPrefix,
     FactorNotFoundError,
@@ -398,6 +399,15 @@ class TestZeroEnvelope:
     def test_ternary_rejected(self):
         with pytest.raises(ValueError):
             zero_envelope(T, 3)
+
+    def test_cover_budget(self):
+        # Four phi strings of 5^10 symbols fit, of 5^11 do not; over the
+        # budget the error comes before any cover string is built.
+        assert len(_length2_factors(PHI.morphism, 0)) * 5**10 <= COVER_BUDGET
+        with mock.patch.object(Morphism, "power_array", side_effect=AssertionError):
+            for n in (5**10 + 1, 10**8):
+                with pytest.raises(ValueError, match="COVER_BUDGET"):
+                    zero_envelope(MorphicFixedPoint(), n)
 
     def test_table_matches_per_length(self):
         for power, lengths in (

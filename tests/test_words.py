@@ -12,6 +12,7 @@ from frobwords.words import (
     _replace_alternate_zeros_array,
     ConfigurationError,
     FiniteWord,
+    MorphicFixedPoint,
     Morphism,
     PHI_MORPHISM,
     WORDS,
@@ -54,6 +55,70 @@ class TestFiniteWord:
     def test_complement_reverse(self):
         w = FiniteWord.from_string("0010011")
         assert str(w.complement().reverse()) == "0011011"
+
+    def test_non_integral_symbols_rejected(self):
+        # 0.7 and 1.2 used to be truncated, building "01".
+        for bad in ([0.7, 1.2], np.array([0.0, 1.0]), [[0, 1]], "01a"):
+            with pytest.raises(ValueError):
+                FiniteWord(bad, 2)
+
+    def test_alphabet_limited_to_uint8(self):
+        # [300] used to build a word over an alphabet of 301 letters.
+        for symbols, k in (([300], None), ([0], 257)):
+            with pytest.raises(ValueError, match="256"):
+                FiniteWord(symbols, k)
+        assert FiniteWord([255]).alphabet_size == 256
+
+    def test_letters_above_nine_print_in_decimal(self):
+        assert str(FiniteWord([10, 2], 11)) == "102"
+
+    @given(st.integers(1, 5).flatmap(lambda k: st.tuples(
+               st.just(k), st.lists(st.integers(0, k - 1), max_size=200))),
+           st.sampled_from(["list", "tuple", "generator", "digits", "ndarray"]),
+           st.data())
+    def test_matches_tuple_model(self, k_syms, form, data):
+        k, syms = k_syms
+        syms = tuple(syms)
+        given_as = {
+            "list": lambda: list(syms),
+            "tuple": lambda: syms,
+            "generator": lambda: (s for s in syms),
+            "digits": lambda: "".join(map(str, syms)),
+            "ndarray": lambda: np.array(syms, dtype=np.int64),
+        }[form]()
+        w = FiniteWord(given_as, k)
+        assert (w.symbols, tuple(w), len(w), w.alphabet_size) == (
+            syms, syms, len(syms), k)
+        assert all(w.count(c) == syms.count(c) for c in range(-1, k + 1))
+        for i in range(-len(syms), len(syms)):
+            assert type(w[i]) is int and w[i] == syms[i]
+        sl = data.draw(st.slices(len(syms)))
+        assert w[sl] == FiniteWord(syms[sl], k)
+        other = tuple(data.draw(st.lists(st.integers(0, 4), max_size=20)))
+        joined = w + FiniteWord(other, 5)
+        assert (joined.symbols, joined.alphabet_size) == (syms + other, 5)
+        assert w.reverse().symbols == syms[::-1]
+        if k == 2:
+            assert w.complement().symbols == tuple(1 - s for s in syms)
+        text = "".join(map(str, syms))
+        assert str(w) == text
+        assert repr(w) == f"FiniteWord({text!r}, alphabet_size={k})"
+        same = FiniteWord(list(syms), k)
+        assert w == same and hash(w) == hash(same)
+        assert w != FiniteWord(syms, k + 1) and w != syms
+        assert w != w + FiniteWord([0], k)
+
+        assert not w.array.flags.writeable
+        if syms:
+            with pytest.raises(ValueError):
+                w.array[0] = 0
+        if form == "ndarray":
+            given_as[:] = k - 1 - given_as
+            assert w.symbols == syms
+        mine = np.array(syms, dtype=np.uint8)
+        kept = FiniteWord(mine, k)
+        mine[:] = 0
+        assert kept.symbols == syms
 
 
 class TestPaperfolding:
@@ -163,6 +228,12 @@ class TestMorphisms:
         ident = Morphism([FiniteWord("0", 2), FiniteWord("1", 2)])
         with pytest.raises(ConfigurationError):
             iterate_morphism(ident, 0, 2)
+
+    @pytest.mark.parametrize("seed", [5, -1])
+    def test_seed_outside_alphabet_rejected(self, seed):
+        # 5 used to raise a bare IndexError, -1 to read the image of 1.
+        with pytest.raises(ConfigurationError, match=f"seed {seed} outside alphabet"):
+            MorphicFixedPoint(PHI_MORPHISM, seed=seed)
 
     def test_non_prolongable_seed_rejected(self):
         m = Morphism([FiniteWord.from_string("10"), FiniteWord.from_string("11")])
