@@ -43,6 +43,7 @@ from .factors import (
     StabilizedDoubling,
     Certified,
     CERTIFIED_TABLE_BUDGET,
+    DESUBSTITUTION_TABLE_BUDGET,
     default_source,
     parikh,
     parikh_set,
@@ -98,5 +99,20 @@ from .ternary import (
     table2,
 )
 from .golden import TABLE1_GOLDEN, TABLE2_GOLDEN
+from . import factors, frobenius, ternary
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every per-process cache, so the next call rebuilds: the cover
+    strings and envelope tables of factors, the complement memo of
+    frobenius, and the triples, decisions and Fibonacci factor tables of
+    ternary.  Each generator's own grow-only prefix buffer is kept."""
+    factors._COVER_CACHE.clear()
+    factors._ENVELOPE_CACHE.clear()
+    frobenius._COMPLEMENT_MEMO.clear()
+    ternary._triple_of.cache_clear()
+    ternary._decide.cache_clear()
+    ternary.enumerate_fib_factors.cache_clear()
+    ternary._fib_table = (None, [])

@@ -100,6 +100,7 @@ __all__ = [
     "StabilizedDoubling",
     "Certified",
     "CERTIFIED_TABLE_BUDGET",
+    "DESUBSTITUTION_TABLE_BUDGET",
     "COVER_BUDGET",
     "default_source",
     "parikh",
@@ -210,6 +211,12 @@ FactorSource = ExplicitPrefix | MorphicCover | StabilizedDoubling | Certified
 #: bound is set by the Parikh table of pf, about 744,000 vectors and 120 MiB
 #: at this length.
 CERTIFIED_TABLE_BUDGET = 2**16
+
+#: Longest desubstitution table, in window lengths, checked before anything
+#: is allocated.  Its two (k, k, n) int64 arrays take 64 bytes per length for
+#: a binary word; the phi table to 2^20 peaks about 130 MiB above the import.
+#: Table 1 with weights up to 8 needs 467,540.
+DESUBSTITUTION_TABLE_BUDGET = 2**20
 
 #: Most symbols a MorphicCover may build, checked first: the four phi strings
 #: take 39,062,500 at power 10 (windows up to 5^10), 195,312,500 at power 11.
@@ -639,7 +646,14 @@ def _desubstitution_envelopes(
     and last letter at length L follow from those at length m, and m < L
     once L >= 3: lengths 1 and 2 come from the length-2 factors, and each
     further block of lengths (M, l*(M-1)+1] needs only lengths <= M.
+
+    A table longer than DESUBSTITUTION_TABLE_BUDGET lengths is refused
+    before anything is allocated.
     """
+    if n_max > DESUBSTITUTION_TABLE_BUDGET:
+        raise ValueError(
+            f"a desubstitution table to length {n_max} exceeds the budget "
+            f"DESUBSTITUTION_TABLE_BUDGET = {DESUBSTITUTION_TABLE_BUDGET} lengths")
     m = g.morphism
     ell, k = m.uniform_length, m.alphabet_size
     images = np.stack([img.array for img in m.images])
@@ -696,12 +710,19 @@ def zero_envelope_table(
 
     The table form exists because downstream representability sweeps need
     every length at once.  Under MorphicCover it is computed exactly by
-    desubstitution, so every power shares one table; under Certified by the
-    pf 2-recursion or the fib Beatty form, within CERTIFIED_TABLE_BUDGET
+    desubstitution, so every power shares one table, within
+    DESUBSTITUTION_TABLE_BUDGET lengths; under Certified by the pf
+    2-recursion or the fib Beatty form, within CERTIFIED_TABLE_BUDGET
     lengths; under the other sources it is a scan, stabilized jointly under
     StabilizedDoubling.
+
     Tables are cached per generator grow-only, so repeated sweeps share one
-    computation.
+    computation, and come back at length exactly n_max.  A desubstitution
+    table that misses the cache is built to max(n_max, 2 * cached length),
+    clipped to l**power for a cover of width l and to
+    DESUBSTITUTION_TABLE_BUDGET, so a climb through rising lengths costs a
+    few builds, not one per length.  The other sources build exactly n_max,
+    so a doubling stops where it would uncached.
     """
     if g.alphabet_size != 2:
         raise ValueError("zero envelopes are defined for binary words")
@@ -713,20 +734,24 @@ def zero_envelope_table(
         key = MorphicCover
 
     per_gen = _ENVELOPE_CACHE.setdefault(g, {})
-    cached = per_gen.get(key)
-    if cached is not None and cached[0] >= n_max:
+    cached = per_gen.get(key, (0, None, None))
+    if cached[0] >= n_max:
         return cached[1][:n_max], cached[2][:n_max]
 
+    size = n_max
     if key is MorphicCover:
-        z_min, z_max = _desubstitution_envelopes(g, n_max)
+        limit = min(g.morphism.uniform_length**src.power,
+                    DESUBSTITUTION_TABLE_BUDGET)
+        size = max(n_max, min(2 * cached[0], limit))
+        z_min, z_max = _desubstitution_envelopes(g, size)
     elif isinstance(src, Certified):
         z_min, z_max = _certified(g, n_max, table=True)
     else:
         z_min, z_max = _scan_envelope_table(g, n_max, src)
     z_min.setflags(write=False)
     z_max.setflags(write=False)
-    per_gen[key] = (n_max, z_min, z_max)
-    return z_min, z_max
+    per_gen[key] = (size, z_min, z_max)
+    return z_min[:n_max], z_max[:n_max]
 
 
 def pf_delta_stats(n: int, src: FactorSource | None = None) -> DeltaStats:

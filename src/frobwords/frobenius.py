@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,17 @@ def s_value(w: FiniteWord, weights: Weights) -> int:
     return parikh(w).dot(weights)
 
 
+# Per-generator complement memo: (weights, max_len, src) as the caller passed
+# them -> (ceiling, sorted positive non-values below ceiling); keys die with
+# their generators.
+_COMPLEMENT_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+#: Largest value mask, in integers, that complement_below builds past the
+#: bound it was asked for, so that later bounds of the same request are
+#: lookups.  A bound above it builds exactly the bound.
+COMPLEMENT_MEMO_SPAN = 2**16
+
+
 def _envelope_mask(z_min, z_max, a: int, b: int, bound: int) -> np.ndarray:
     """Boolean mask over 0..bound-1 of the values a*z + b*(n-z) with
     z_min[n-1] <= z <= z_max[n-1], for every length n of the envelope.
@@ -183,12 +195,26 @@ def complement_below(
     the bound, ceil(bound / min(weights)); anything smaller is rejected
     because a representing factor could hide beyond the scan.  The
     complement is the unset part of one value mask (see _value_mask).
+
+    Repeated requests are lookups.  Each request key, (weights, max_len,
+    src) as passed, keeps one memo entry per generator: the sorted
+    non-values below a ceiling, from one value mask.  Every value below
+    max_len * min(weights) comes from lengths <= max_len, and no larger
+    bound passes the max_len check, so the ceiling is that product, cut to
+    2 * max(bound, max_len) and to COMPLEMENT_MEMO_SPAN, but never below
+    the bound: a bound above the span builds exactly the bound's mask.  A
+    bound within the ceiling is one binary search; a larger one replaces
+    the entry.  The argument checks run on every call; the source's own
+    checks ran when the entry was built.  The memo is not bounded in the
+    number of keys: each distinct (weights, max_len, src) keeps its entry
+    until its generator dies or frobwords.clear_caches() runs.
     """
     weights = Weights(weights)
     weights.require_coprime()
     if bound < 1:
         raise ValueError("bound must be >= 1")
     needed = -(-bound // min(weights))
+    key = (weights, max_len, src)
     if max_len is None:
         max_len = needed
     if max_len < needed:
@@ -196,9 +222,16 @@ def complement_below(
             f"max_len={max_len} cannot decide representability below {bound}; "
             f"need at least {needed}"
         )
-    hit = _value_mask(g, weights, bound, max_len, src)
+    memo = _COMPLEMENT_MEMO.setdefault(g, {})
+    ceiling, nonvalues = memo.get(key, (0, None))
+    if ceiling < bound:
+        ceiling = max(bound, min(max_len * min(weights), 2 * max(bound, max_len),
+                                 COMPLEMENT_MEMO_SPAN))
+        hit = _value_mask(g, weights, ceiling, max_len, src)
+        nonvalues = np.flatnonzero(~hit[1:]) + 1
+        memo[key] = ceiling, nonvalues
+    complement = tuple(nonvalues[:nonvalues.searchsorted(bound)].tolist())
     method = "binary-envelope-interval" if g.alphabet_size == 2 else "parikh-set-scan"
-    complement = tuple(int(v) for v in np.flatnonzero(~hit) if v > 0)
     return ComplementReport(
         weights=weights,
         search_bound=bound,

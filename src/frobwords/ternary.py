@@ -150,9 +150,10 @@ class Half:
 
 @dataclass(frozen=True)
 class _Triple:
-    """A validated triple, built once per public call, with the doubled F
-    steps on a Fibonacci 0 and 1 (S0+S2, 2 S1), the doubled offsets o1..o3,
-    e1..e3 and their largest magnitude k, and the window length l."""
+    """A validated triple, built once per Weights (_triple), with the
+    doubled F steps on a Fibonacci 0 and 1 (S0+S2, 2 S1), the doubled
+    offsets o1..o3, e1..e3 and their largest magnitude k, and the window
+    length l."""
 
     weights: Weights
     steps: tuple
@@ -163,7 +164,11 @@ class _Triple:
 
 
 def _triple(s) -> _Triple:
-    s = Weights(s)
+    return _triple_of(Weights(s))
+
+
+@lru_cache(maxsize=None)
+def _triple_of(s: Weights) -> _Triple:
     if len(s) != 3:
         raise ValueError("ternary machinery needs exactly three weights")
     s0, s1, s2 = s

@@ -9,7 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from frobwords import cli, factors, frobenius, verify
 from frobwords.factors import (
+    _desubstitution_envelopes,
     _length2_factors,
+    _paperfolding_envelopes,
     _scan_envelope_table,
     _window_scan,
     CERTIFIED_TABLE_BUDGET,
@@ -36,6 +38,7 @@ from frobwords.words import (
     FiniteWord,
     MorphicFixedPoint,
     Morphism,
+    PaperfoldingWord,
     WORDS,
     WordGenerator,
 )
@@ -386,6 +389,89 @@ class TestBinaryKernelWidth:
             zeros = sums[n:] - sums[:-n]
             want = ZeroEnvelope(n, int(zeros.min()), int(zeros.max()))
             assert zero_envelope(g, n, ExplicitPrefix(2**18)) == want
+
+
+def _counted_builder(monkeypatch, name):
+    """Patch the table builder factors.<name>(g, n_max, ...) to record the
+    n_max of every table it builds."""
+    sizes, build = [], getattr(factors, name)
+
+    def counted(g, n_max, *args, **kwargs):
+        table = build(g, n_max, *args, **kwargs)
+        sizes.append(n_max)
+        return table
+
+    monkeypatch.setattr(factors, name, counted)
+    return sizes
+
+
+class TestEnvelopeGrowth:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 700), min_size=1, max_size=8),
+           st.integers(4, 5), st.integers(200, 800))
+    def test_exact_tables_grow_geometrically(self, lengths, power, budget):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(factors, "DESUBSTITUTION_TABLE_BUDGET", budget)
+            patch.setattr(factors, "CERTIFIED_TABLE_BUDGET", budget)
+            desub = _counted_builder(patch, "_desubstitution_envelopes")
+            certified = _counted_builder(patch, "_certified")
+            g, pf, src = MorphicFixedPoint(), PaperfoldingWord(), MorphicCover(power)
+            words = (
+                (lambda n: zero_envelope_table(g, n, src),
+                 lambda n: _desubstitution_envelopes(g, n), min(5**power, budget)),
+                (lambda n: zero_envelope_table(pf, n), _paperfolding_envelopes,
+                 budget),
+            )
+            for n in lengths:
+                for table, fresh, limit in words:
+                    if n > limit:
+                        with pytest.raises(ValueError):
+                            table(n)
+                        continue
+                    got = table(n)
+                    assert [len(a) for a in got] == [n, n]
+                    assert [a.tolist() for a in got] == [a.tolist() for a in fresh(n)]
+        # a desubstitution build at least doubles the cached length, within
+        # the limit; a certified one builds exactly each new longest length
+        limit = words[0][2]
+        assert all(size <= limit for size in desub)
+        assert all(new >= min(2 * old, limit) for old, new in zip(desub, desub[1:]))
+        longest = 0
+        misses = []
+        for n in lengths:
+            if longest < n <= budget:
+                misses.append(n)
+                longest = n
+        assert certified == misses
+
+    def test_climb_builds_doubling_lengths(self, monkeypatch):
+        sizes = _counted_builder(monkeypatch, "_desubstitution_envelopes")
+        g = MorphicFixedPoint()
+        for n in (132, 156, 178, 222, 270, 405, 735, 808):
+            zero_envelope_table(g, n, MorphicCover(7))
+        assert sizes == [132, 264, 528, 1056]
+        for n in (1700, 2500):
+            zero_envelope_table(g, n, MorphicCover(5))
+        assert sizes[4:] == [2112, 5**5]  # clipped to 5^5, not 4224
+
+    def test_scan_sources_build_what_is_asked(self, monkeypatch):
+        sizes = _counted_builder(monkeypatch, "_scan_envelope_table")
+        g = PaperfoldingWord()
+        src = StabilizedDoubling()
+        for n_max in (40, 41, 30, 90):
+            with mock.patch.object(g, "prefix_array",
+                                   wraps=g.prefix_array) as prefix_array:
+                zero_envelope_table(g, n_max, src)
+            asked = [c.args[0] for c in prefix_array.call_args_list]
+            if n_max == 30:  # within the cached 41
+                assert asked == []
+                continue
+            # the prefix a doubling stops at is that of an uncached request
+            stop = full_rescan_stop(n_max, src, lambda length: [
+                a.tolist() for a in _scan_envelope_table(
+                    PF, n_max, ExplicitPrefix(length))])
+            assert max(asked) == stop
+        assert sizes == [40, 41, 90]
 
 
 class TestZeroEnvelope:

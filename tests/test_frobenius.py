@@ -1,12 +1,21 @@
 """Weight maps, the two-coin problem, representability and witnesses."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobwords.factors import StabilizedDoubling, zero_envelope_table
+import frobwords
+from frobwords import factors, frobenius, ternary
+from frobwords.factors import (
+    DESUBSTITUTION_TABLE_BUDGET,
+    Certified,
+    MorphicCover,
+    StabilizedDoubling,
+    zero_envelope_table,
+)
 from frobwords.frobenius import (
     Weights,
     _envelope_mask,
@@ -19,7 +28,7 @@ from frobwords.frobenius import (
 )
 from frobwords.ternary import decide_cofinite
 from frobwords.verify import MaxComplexityWord, classical_nonrepresentable
-from frobwords.words import FiniteWord, WORDS
+from frobwords.words import FiniteWord, MorphicFixedPoint, PaperfoldingWord, WORDS
 
 PF, PHI, T = WORDS["pf"], WORDS["phi"], WORDS["t"]
 
@@ -143,6 +152,161 @@ class TestComplementBelow:
         assert report.max_factor_length >= 15
         assert report.method == "binary-envelope-interval"
         assert all(0 < v < 30 for v in report.complement)
+
+
+# Request keys (generator, weights, max_len, src) that the memo property
+# draws from, so that one sequence repeats keys with bounds in random order.
+# An explicit max_len rejects the larger bounds, a None one grows with them.
+MEMO_KEYS = [
+    (PHI, (1, 2), None, MorphicCover(3)),
+    (PHI, (3, 4), 120, MorphicCover(3)),
+    (PHI, (3, 4), 120, MorphicCover(4)),
+    (PHI, (2, 5), None, None),
+    (PF, (2, 3), 90, Certified()),
+    (PF, (4, 5), None, StabilizedDoubling()),
+    (PF, (3, 5), 40, StabilizedDoubling()),
+    (T, (1, 2, 3), None, None),
+    (T, (2, 3, 4), 60, Certified()),
+]
+
+
+def memo_free_complement(g, weights, bound, max_len, src):
+    """complement_below's answer from one value mask, with no memo, or
+    the ValueError of its max_len or source check."""
+    needed = -(-bound // min(weights))
+    if max_len is not None and max_len < needed:
+        return ValueError(f"need at least {needed}")
+    try:
+        hit = _value_mask(g, Weights(weights), bound, max_len or needed, src)
+    except ValueError as exc:
+        return exc
+    return tuple((np.flatnonzero(~hit[1:]) + 1).tolist())
+
+
+class TestComplementMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(MEMO_KEYS), st.integers(1, 400)),
+                    min_size=1, max_size=12))
+    def test_equals_memo_free_mask(self, queries):
+        for (g, weights, max_len, src), bound in queries:
+            want = memo_free_complement(g, weights, bound, max_len, src)
+            if isinstance(want, ValueError):
+                with pytest.raises(ValueError) as got:
+                    complement_below(g, Weights(weights), bound, max_len, src)
+                assert str(want) in str(got.value)
+                continue
+            report = complement_below(g, Weights(weights), bound, max_len, src)
+            assert report.complement == want
+            assert report.search_bound == bound
+
+    def test_max_len_guard_on_a_hit(self):
+        g = MorphicFixedPoint()
+        w = Weights((2, 3))
+        assert complement_below(g, w, 20, 10).complement == (1,)
+        assert list(frobenius._COMPLEMENT_MEMO[g]) == [(w, 10, None)]
+        with pytest.raises(ValueError, match="need at least 11"):
+            complement_below(g, w, 21, 10)
+
+    def test_cover_power_checked_after_another_power_filled_the_memo(self):
+        g = MorphicFixedPoint()
+        w = Weights((1, 2))
+        complement_below(g, w, 200, 200, MorphicCover(4))
+        complement_below(g, w, 200, src=MorphicCover(4))
+        for max_len in (200, None):
+            with pytest.raises(ValueError, match="not covered by power 3"):
+                complement_below(g, w, 200, max_len, MorphicCover(3))
+
+    def test_one_entry_per_key(self):
+        g = MorphicFixedPoint()
+        w = Weights((3, 4))
+        rng = np.random.default_rng(0)
+        src = MorphicCover(7)
+        for bound in rng.integers(1, 2001, size=270).tolist():
+            report = complement_below(g, w, bound, 700, src)
+            assert report.complement == memo_free_complement(
+                PHI, w, bound, 700, src)
+        assert list(frobenius._COMPLEMENT_MEMO[g]) == [(w, 700, src)]
+        ceiling, nonvalues = frobenius._COMPLEMENT_MEMO[g][w, 700, src]
+        assert ceiling == 700 * 3 and nonvalues.tolist() == [1, 2, 5, 9]
+
+    def test_ceiling_within_the_span(self):
+        # a max_len far past ceil(bound / 1000) does not buy a mask of
+        # max_len * 1000 integers: the ceiling stops at the span, and a
+        # bound past the span builds exactly its own mask
+        g = PaperfoldingWord()
+        w = Weights((1000, 1001))
+        assert complement_below(g, w, 10, 60_000).complement == tuple(range(1, 10))
+        memo = frobenius._COMPLEMENT_MEMO[g]
+        assert memo[w, 60_000, None][0] == frobenius.COMPLEMENT_MEMO_SPAN
+        assert complement_below(g, w, 2000, 300).complement == (
+            memo_free_complement(g, w, 2000, 300, None))
+        assert memo[w, 300, None][0] == 4000  # 2 * max(bound, max_len)
+        bound = frobenius.COMPLEMENT_MEMO_SPAN + 1000
+        report = complement_below(g, w, bound, 60_000)
+        assert memo[w, 60_000, None][0] == bound
+        assert report.complement == memo_free_complement(g, w, bound, 60_000, None)
+
+    def test_larger_bound_replaces_the_entry(self):
+        g = MorphicFixedPoint()
+        w = Weights((3, 4))
+        complement_below(g, w, 10)
+        assert frobenius._COMPLEMENT_MEMO[g][w, None, None][0] == 12
+        assert complement_below(g, w, 300).complement == (1, 2, 5, 9)
+        assert list(frobenius._COMPLEMENT_MEMO[g]) == [(w, None, None)]
+        assert frobenius._COMPLEMENT_MEMO[g][w, None, None][0] == 300
+
+
+class TestEnvelopeBudget:
+    def test_refused_before_allocating(self):
+        assert 467_540 <= DESUBSTITUTION_TABLE_BUDGET  # table 1, weights <= 8
+        tracemalloc.start()
+        try:
+            for call in (
+                lambda: complement_below(PHI, Weights((2, 5)), 10**10),
+                lambda: complement_below(PHI, Weights((2, 5)), 10**9,
+                                         src=MorphicCover(14)),
+                lambda: zero_envelope_table(PHI, DESUBSTITUTION_TABLE_BUDGET + 1,
+                                            MorphicCover(9)),
+            ):
+                with pytest.raises(ValueError, match="DESUBSTITUTION_TABLE_BUDGET"):
+                    call()
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
+
+
+class TestClearCaches:
+    def test_next_call_rebuilds(self, monkeypatch):
+        builds = {"envelope": 0, "mask": 0, "fib": 0}
+
+        def counted(name, module, attr):
+            fn = getattr(module, attr)
+
+            def wrapper(*args):
+                builds[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, attr, wrapper)
+
+        counted("envelope", factors, "_desubstitution_envelopes")
+        counted("mask", frobenius, "_value_mask")
+        counted("fib", ternary, "_fib_factor_starts")
+
+        def requests():
+            complement_below(PHI, Weights((3, 4)), 100, 200, MorphicCover(4))
+            decide_cofinite((1, 2, 3))
+            return (dict(builds), ternary._triple_of.cache_info().misses,
+                    ternary._decide.cache_info().misses)
+
+        frobwords.clear_caches()
+        # one build of each, one miss of each lru_cache (cleared with it)
+        assert requests() == ({name: 1 for name in builds}, 1, 1)
+        assert requests() == ({name: 1 for name in builds}, 1, 1)  # lookups
+        frobwords.clear_caches()
+        assert not factors._ENVELOPE_CACHE and not factors._COVER_CACHE
+        assert not frobenius._COMPLEMENT_MEMO
+        assert ternary._fib_table == (None, [])
+        assert requests() == ({name: 2 for name in builds}, 1, 1)
 
 
 class TestPaperfoldingWitnesses:
