@@ -8,8 +8,7 @@ are scanned and why that is enough:
 * ``MorphicCover(power)``    -- for a fixed point of a uniform morphism of
   width L, scan the power-fold images of all length-2 factors; this provably
   sees every factor of length <= L**power.  Zero-envelope tables under this
-  source come from one step of desubstitution instead of a scan (see
-  ``_desubstitution_envelopes``);
+  source come from desubstitution instead of a scan (see below);
 * ``Certified()``            -- for the built-in pf, fib and t, read the
   answer off the word's structure and scan nothing (see below);
 * ``StabilizedDoubling(initial_length, max_length)`` -- scan a prefix,
@@ -39,6 +38,17 @@ are scanned and why that is enough:
   alternation, to (ceil(z/2), n-z, floor(z/2)) and (floor(z/2), n-z,
   ceil(z/2)) (``verify --suite ternary`` checks the lift lemma and the
   well-distributed occurrences it rests on).
+
+Desubstitution reads the envelopes of a fixed point x = s(x) of a uniform
+morphism of width l off shorter ones.  Each length-L factor is a slice
+s(v)[j : j+L] of the image of a factor v of length m, its zero count is
+affine in that of v, and L = l*(m-1) + d depends only on m and the offset
+d = kept - j, where kept counts the symbols of the image of v's last letter
+that the slice keeps.  Read as a grid of rows of l lengths, each source
+length m lands on one row for d >= 1 and on the row before for d <= 0, so
+a block of lengths is a few strided broadcasts over one slice of shorter
+lengths, with the slice constants tabulated once per morphism
+(``_desubstitution_envelopes``).
 
 Every scan is one window kernel, ``_window_scan``: prefix sums once per
 covering string, then one subtraction per window length.  It yields the
@@ -213,9 +223,9 @@ FactorSource = ExplicitPrefix | MorphicCover | StabilizedDoubling | Certified
 CERTIFIED_TABLE_BUDGET = 2**16
 
 #: Longest desubstitution table, in window lengths, checked before anything
-#: is allocated.  Its two (k, k, n) int64 arrays take 64 bytes per length for
-#: a binary word; the phi table to 2^20 peaks about 130 MiB above the import.
-#: Table 1 with weights up to 8 needs 467,540.
+#: is allocated.  Its int32 arrays hold the (k, k) refinement only up to
+#: n/l and the result at every length; the phi table to 2^20 peaks at 19 MiB
+#: traced.  Table 1 with weights up to 8 needs 467,540.
 DESUBSTITUTION_TABLE_BUDGET = 2**20
 
 #: Most symbols a MorphicCover may build, checked first: the four phi strings
@@ -225,6 +235,7 @@ COVER_BUDGET = 2**26
 # Read-only per-generator caches; keys die with their generators.
 _COVER_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _ENVELOPE_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_DESUBSTITUTION_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 R = TypeVar("R")
 
@@ -632,75 +643,150 @@ def _scan_envelope_table(
     return z_min.copy(), z_max.copy()
 
 
+#: "No such factor" in the int32 desubstitution arrays: lo starts at _NONE
+#: and hi at -_NONE.  Real counts and slice constants lie within 2**22 in
+#: absolute value for tables within DESUBSTITUTION_TABLE_BUDGET, so a
+#: candidate holding one or two of these stays beyond every real count and
+#: inside int32.
+_NONE = 2**29
+
+
+def _desubstitution_constants(g: MorphicFixedPoint):
+    """The slice constants of the desubstitution recursion of g, built once
+    per generator: (z1, slope, const_lo, const_hi, any_lo, any_hi).
+
+    const_lo[part, a, b, f, l, col] is the least, const_hi the most, of
+    -zeros(s(a)[:j]) - zeros(s(b)[kept:]) over the cuts j < l, 1 <= kept <= l
+    with offset d = kept - j = col + 1 - part*l, s(a)[j] = f and
+    s(b)[kept-1] = l, or +-_NONE where there is none.  any_lo and any_hi
+    take the extremum over the destination letters f and l as well.
+    """
+    per_gen = _DESUBSTITUTION_CACHE.get(g)
+    if per_gen is not None:
+        return per_gen
+    m = g.morphism
+    ell, k = m.uniform_length, m.alphabet_size
+    images = np.stack([img.array for img in m.images])
+    zero_prefix = np.zeros((k, ell + 1), dtype=np.int32)
+    np.cumsum(images == 0, axis=1, out=zero_prefix[:, 1:])
+    z0, z1 = int(zero_prefix[0, ell]), int(zero_prefix[1, ell])
+
+    a, b, j, kept = np.meshgrid(np.arange(k), np.arange(k), np.arange(ell),
+                                np.arange(1, ell + 1), indexing="ij")
+    d = kept - j
+    part = (d < 1).astype(np.intp)
+    at = (part, a, b, images[a, j], images[b, kept - 1], d - 1 + part * ell)
+    const = zero_prefix[b, kept] - zero_prefix[a, j] - zero_prefix[b, ell]
+    const_lo = np.full((2, k, k, k, k, ell), _NONE, dtype=np.int32)
+    const_hi = np.full((2, k, k, k, k, ell), -_NONE, dtype=np.int32)
+    np.minimum.at(const_lo, at, const)
+    np.maximum.at(const_hi, at, const)
+    per_gen = (z1, z0 - z1, const_lo, const_hi,
+               const_lo.min(axis=(3, 4)), const_hi.max(axis=(3, 4)))
+    _DESUBSTITUTION_CACHE[g] = per_gen
+    return per_gen
+
+
 def _desubstitution_envelopes(
     g: MorphicFixedPoint, n_max: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (z_min, z_max) for lengths 1..n_max of a binary fixed point
-    x = s(x) of a uniform morphism s of width l, without scanning x.
+    """Exact int32 (z_min, z_max) for lengths 1..n_max of a binary fixed
+    point x = s(x) of a uniform morphism s of width l, without scanning x.
 
-    Every length-L factor of x is s(v)[j : j+L] with j < l and v a factor of
-    length m = ceil((j+L)/l), and every such slice is a factor.  Its zero
-    count is z1*m + (z0-z1)*zeros(v), less the zeros of s(first(v))[:j] and
-    of the part of s(last(v)) cut off after position j+L, where zc counts
-    the zeros of s(c).  So the envelopes of the factors with a given first
-    and last letter at length L follow from those at length m, and m < L
-    once L >= 3: lengths 1 and 2 come from the length-2 factors, and each
-    further block of lengths (M, l*(M-1)+1] needs only lengths <= M.
+    Every length-L factor u of x is s(v)[j : j+L] with j < l and v a factor
+    of length m = ceil((j+L)/l), and every such slice is a factor.  With a
+    and b the first and last letters of v and kept = j + L - l*(m-1) the
+    symbols of s(b) that u keeps:
 
-    A table longer than DESUBSTITUTION_TABLE_BUDGET lengths is refused
-    before anything is allocated.
+    * L = l*(m-1) + d, with offset d = kept - j in [2-l, l];
+    * zeros(u) = z1*m + (z0-z1)*zeros(v) + const, where zc counts the zeros
+      of s(c) and const = -zeros(s(a)[:j]) - zeros(s(b)[kept:]);
+    * u starts with s(a)[j] and ends with s(b)[kept-1].
+
+    So the envelopes of the factors with given first and last letters at L
+    follow from those at m, and m < L once L >= 3.  Lengths 1 and 2 come
+    from the length-2 factors; given every length <= M, a block of lengths
+    (M, l*(M-1)+1] needs sources m <= M only.  L depends on m and d alone,
+    so the table is read as a grid of rows of l lengths each, and each
+    source m lands on one row: on row m-1 (lengths l*(m-1)+1 ..) for d >= 1
+    and on row m-2 for d <= 0.  The constants are min/max tables over the
+    cuts with one offset (``_desubstitution_constants``), so a block costs,
+    per (a, b) and per part, one broadcast add and one np.minimum or
+    np.maximum into a strided row view, with no index array.  Writes that
+    land outside the block are counts of real factors, so they leave the
+    exact envelopes unchanged.
+
+    The (a, b, f, l)-refined arrays are kept only up to the longest source
+    any block reads, ceil((n_max + l - 1) / l); rows past it are reduced
+    straight into z_min and z_max.  Sources with no factor are masked, and
+    the arrays are int32 (see _NONE).  A table longer than
+    DESUBSTITUTION_TABLE_BUDGET lengths is refused before anything is
+    allocated.
     """
     if n_max > DESUBSTITUTION_TABLE_BUDGET:
         raise ValueError(
             f"a desubstitution table to length {n_max} exceeds the budget "
             f"DESUBSTITUTION_TABLE_BUDGET = {DESUBSTITUTION_TABLE_BUDGET} lengths")
-    m = g.morphism
-    ell, k = m.uniform_length, m.alphabet_size
-    images = np.stack([img.array for img in m.images])
-    zero_prefix = np.zeros((k, ell + 1), dtype=np.int64)
-    np.cumsum(images == 0, axis=1, out=zero_prefix[:, 1:])
-    z0, z1 = int(zero_prefix[0, ell]), int(zero_prefix[1, ell])
-    slope = z0 - z1
+    z1, slope, const_lo, const_hi, any_lo, any_hi = _desubstitution_constants(g)
+    ell, k = g.morphism.uniform_length, g.morphism.alphabet_size
+    keep = -(-(n_max + ell - 1) // ell)  # longest source length read
+    keep_rows, out_rows = -(-keep // ell), -(-n_max // ell)
 
     # lo[a, b, L] / hi[a, b, L]: least / most zeros over length-L factors
-    # that start with a and end with b; lo > hi marks "no such factor".
-    size = max(n_max, 2) + 1
-    lo = np.full((k, k, size), n_max + 1, dtype=np.int64)
-    hi = np.full((k, k, size), -1, dtype=np.int64)
-    for a, b in _length2_factors(m, g.seed):
+    # that start with a and end with b, for L <= l * keep_rows; the grids
+    # are the same lengths 1.. as rows of l.
+    lo = np.full((k, k, 1 + ell * keep_rows), _NONE, dtype=np.int32)
+    hi = np.full((k, k, 1 + ell * keep_rows), -_NONE, dtype=np.int32)
+    for a, b in _length2_factors(g.morphism, g.seed):
         for c in (a, b):
             lo[c, c, 1] = hi[c, c, 1] = int(c == 0)
         lo[a, b, 2] = hi[a, b, 2] = int(a == 0) + int(b == 0)
+    lo_grid = lo[:, :, 1:].reshape(k, k, keep_rows, ell)
+    hi_grid = hi[:, :, 1:].reshape(k, k, keep_rows, ell)
+    z_min = np.full(ell * out_rows, _NONE, dtype=np.int32)
+    z_max = np.full(ell * out_rows, -_NONE, dtype=np.int32)
+    min_grid = z_min.reshape(out_rows, ell)
+    max_grid = z_max.reshape(out_rows, ell)
 
     done = 2
     while done < n_max:
-        top = min(ell * (done - 1) + 1, n_max)
-        length = np.arange(done + 1, top + 1)
-        for j in range(ell):
-            m_len = (j + length + ell - 1) // ell
-            kept = j + length - ell * (m_len - 1)  # symbols of s(last) kept
-            for a in range(k):
-                first = images[a, j]
-                for b in range(k):
-                    v_lo, v_hi = lo[a, b, m_len], hi[a, b, m_len]
-                    found = v_lo <= v_hi
-                    if not found.any():
-                        continue
-                    if slope < 0:
-                        v_lo, v_hi = v_hi, v_lo
-                    base = (z1 * m_len - zero_prefix[a, j]
-                            - (zero_prefix[b, ell] - zero_prefix[b, kept]))
-                    last = images[b, kept - 1]
-                    lo[first, last, length] = np.minimum(
-                        lo[first, last, length],
-                        np.where(found, base + slope * v_lo, n_max + 1))
-                    hi[first, last, length] = np.maximum(
-                        hi[first, last, length],
-                        np.where(found, base + slope * v_hi, -1))
-        done = top
-    z_min = lo[:, :, 1:n_max + 1].min(axis=(0, 1))
-    z_max = hi[:, :, 1:n_max + 1].max(axis=(0, 1))
-    return z_min, z_max
+        first, last = done // ell + 1, min(done, keep)  # source lengths
+        base = z1 * np.arange(first, last + 1, dtype=np.int32)
+        for a in range(k):
+            for b in range(k):
+                v_lo, v_hi = lo[a, b, first:last + 1], hi[a, b, first:last + 1]
+                found = v_lo <= v_hi
+                if not found.any():
+                    continue
+                if slope < 0:
+                    v_lo, v_hi = v_hi, v_lo
+                # no sentinel enters the arithmetic (see _NONE)
+                s_lo = base + slope * np.where(found, v_lo, 0)
+                s_hi = base + slope * np.where(found, v_hi, 0)
+                s_lo[~found], s_hi[~found] = _NONE, -_NONE
+                for part in (0, 1):
+                    row = first - 1 - part  # where source `first` lands
+                    for r0, r1, grid_lo, grid_hi, c_lo, c_hi in (
+                        (0, keep_rows, lo_grid, hi_grid,
+                         const_lo[part, a, b, :, :, None],
+                         const_hi[part, a, b, :, :, None]),
+                        (keep_rows, out_rows, min_grid, max_grid,
+                         any_lo[part, a, b], any_hi[part, a, b]),
+                    ):
+                        # row -1, from m = 1 at d <= 0, is no length
+                        r0, r1 = max(r0, row), min(r1, row + len(base))
+                        if r0 >= r1:
+                            continue
+                        rows = slice(r0 - row, r1 - row)
+                        view = grid_lo[..., r0:r1, :]
+                        np.minimum(view, s_lo[rows, None] + c_lo, out=view)
+                        view = grid_hi[..., r0:r1, :]
+                        np.maximum(view, s_hi[rows, None] + c_hi, out=view)
+        done = min(ell * (done - 1) + 1, n_max)
+    refined = ell * keep_rows
+    z_min[:refined] = lo_grid.min(axis=(0, 1)).ravel()
+    z_max[:refined] = hi_grid.max(axis=(0, 1)).ravel()
+    return z_min[:n_max], z_max[:n_max]
 
 
 def zero_envelope_table(

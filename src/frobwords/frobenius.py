@@ -37,14 +37,18 @@ __all__ = [
     "representable_set",
     "complement_below",
     "pf_witnesses",
+    "VALUE_MASK_BUDGET",
 ]
 
 
 class Weights(tuple):
     """Positive integer letter weights; the weight map is their dot product
-    with a factor's Parikh vector."""
+    with a factor's Parikh vector.  Weights(w) is w itself when w is
+    already a Weights: it is immutable and was validated when built."""
 
     def __new__(cls, values):
+        if type(values) is cls is Weights:
+            return values
         try:
             values = tuple(map(operator.index, values))
         except TypeError:  # a float or other non-integral weight
@@ -109,6 +113,12 @@ def s_value(w: FiniteWord, weights: Weights) -> int:
 # their generators.
 _COMPLEMENT_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
+#: Largest value mask, in integers, that any request may build, checked
+#: before the mask is allocated.  The binary kernel peaks at 16 bytes per
+#: integer, 256 MiB at the budget; table 1 with weights up to 8 needs
+#: 3,162,508.
+VALUE_MASK_BUDGET = 2**24
+
 #: Largest value mask, in integers, that complement_below builds past the
 #: bound it was asked for, so that later bounds of the same request are
 #: lookups.  A bound above it builds exactly the bound.
@@ -152,13 +162,23 @@ def _value_mask(
     """Boolean mask over 0..bound-1 of the factor values of lengths 1..max_len.
 
     Binary words go through the zero envelope (_envelope_mask); ternary
-    ones mark the values of their explicit Parikh sets.
+    ones mark the values of their explicit Parikh sets.  The tables check
+    their own budgets first; a bound over VALUE_MASK_BUDGET is then refused
+    before the mask is allocated.
     """
     if len(weights) != g.alphabet_size:
         raise ValueError("weights do not match the word's alphabet")
     if g.alphabet_size == 2:
-        return _envelope_mask(*zero_envelope_table(g, max_len, src), *weights, bound)
-    vectors = [v for row in parikh_set_table(g, max_len, src) for v in row]
+        table = zero_envelope_table(g, max_len, src)
+    else:
+        table = parikh_set_table(g, max_len, src)
+    if bound > VALUE_MASK_BUDGET:
+        raise ValueError(
+            f"a value mask over {bound} integers exceeds the budget "
+            f"VALUE_MASK_BUDGET = {VALUE_MASK_BUDGET} integers")
+    if g.alphabet_size == 2:
+        return _envelope_mask(*table, *weights, bound)
+    vectors = [v for row in table for v in row]
     values = np.array(vectors, dtype=np.int64).reshape(-1, len(weights)) @ weights
     mask = np.zeros(bound, dtype=bool)
     mask[values[values < bound]] = True

@@ -11,6 +11,14 @@ The library works with four words, all indexed from 1:
 All Beatty arithmetic is exact: floors of n*phi are computed with integer
 square roots, never with floating point, so parities and envelopes stay
 trustworthy far beyond float precision.
+
+Prefixes follow each word's own recursion in one uint8 buffer, with no
+index array: pf is a Toeplitz word (odd positions 0101..., even positions
+pf itself), filled through strided views; fib and t grow by the standard
+words s_(k+1) = s_k s_(k-1), t with the 0 <-> 2 swap its alternation needs
+where s_k holds an odd number of zeros; phi iterates its morphism.  The
+Beatty floors serve the single letters, the certified fib envelope and the
+checks in ``verify``.
 """
 
 from __future__ import annotations
@@ -51,7 +59,8 @@ _BEATTY_ARRAY_LIMIT = 1_300_000_000
 
 #: Longest prefix ``WordGenerator.prefix`` builds as a FiniteWord.  Its
 #: uint8 array and its text take one byte per symbol each; at this length
-#: `prefix --word pf` peaks at 41 MiB RSS, fib and t at 73 MiB (Beatty floors).
+#: `prefix --word W` peaks at 36 MiB RSS for each of pf, fib, phi and t,
+#: 6 MiB above the import.
 PREFIX_BUDGET = 2**20
 
 
@@ -248,14 +257,15 @@ def _pf_array_recursive(n: int) -> np.ndarray:
 
 
 def _pf_array_toeplitz(n: int) -> np.ndarray:
-    # Fill alternate holes with the periodic pattern 0101... until no hole
-    # at position <= n remains.
-    out = np.full(n, 255, dtype=np.uint8)
-    holes = np.arange(n, dtype=np.int64)
-    while len(holes):
-        filled = holes[0::2]
-        out[filled] = np.arange(len(filled), dtype=np.int64) & 1
-        holes = holes[1::2]
+    """The Toeplitz fill, all in one uint8 buffer: positions 1, 5, 9, ...
+    hold 0 and 3, 7, 11, ... hold 1, and the even positions, every second
+    slot, are the prefix of length n // 2, filled the same way in place."""
+    out = np.empty(n, dtype=np.uint8)
+    view = out
+    while len(view):
+        view[0::4] = 0
+        view[2::4] = 1
+        view = view[1::2]
     return out
 
 
@@ -264,8 +274,10 @@ def paperfolding_prefix(n: int, construction: str = "direct") -> FiniteWord:
 
     ``construction`` selects one of three equivalent builds: "direct" maps
     the arithmetic letter rule over 1..n, "recursive" iterates
-    w -> w 0 complement(reverse(w)), "toeplitz" fills alternate holes with
-    the pattern 0101....  All three produce identical output.
+    w -> w 0 complement(reverse(w)), "toeplitz" fills the odd positions with
+    the pattern 0101... and the even ones with the prefix of half the
+    length, through strided views of one buffer.  All three produce
+    identical output; the generator builds its prefixes the Toeplitz way.
     """
     if n < 1:
         raise ValueError("prefix length must be >= 1")
@@ -329,17 +341,13 @@ def _isqrt_array(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def _require_beatty_array(n_max: int) -> None:
+def floor_phi_array(n_max: int) -> np.ndarray:
+    """floor(n*phi) for n = 0..n_max as an int64 array, exact."""
     if n_max > _BEATTY_ARRAY_LIMIT:
         raise OverflowError(
             f"5*n^2 exceeds int64 for n > {_BEATTY_ARRAY_LIMIT}; "
             "use the scalar floor_phi instead"
         )
-
-
-def floor_phi_array(n_max: int) -> np.ndarray:
-    """floor(n*phi) for n = 0..n_max as an int64 array, exact."""
-    _require_beatty_array(n_max)
     n = np.arange(n_max + 1, dtype=np.int64)
     return (n + _isqrt_array(5 * n * n)) >> 1
 
@@ -351,9 +359,28 @@ def fibonacci_letter(n: int) -> int:
     return 2 - (floor_phi(n + 1) - floor_phi(n))
 
 
+def _standard_words(n: int, swap: bool) -> np.ndarray:
+    """The length-n prefix of fib (swap=False) or of t (swap=True), grown
+    by its standard words s_0 = 0, s_1 = 01, s_(k+1) = s_k s_(k-1), in one
+    uint8 buffer.  Each s_k is a prefix of the next, so the new part is a
+    copy of the first |s_(k-1)| symbols.  s_k holds |s_(k-1)| zeros, so in
+    t the copy keeps its alternation when |s_(k-1)| is even and swaps
+    0 <-> 2 (x -> 2 - x, which fixes 1) when it is odd."""
+    out = np.empty(max(n, 2), dtype=np.uint8)
+    out[:2] = (0, 1)
+    length, previous = 2, 1
+    while length < n:
+        step = min(previous, n - length)
+        if swap and previous % 2:
+            np.subtract(2, out[:step], out=out[length:length + step])
+        else:
+            out[length:length + step] = out[:step]
+        length, previous = length + previous, length
+    return out[:n]
+
+
 def _fib_array(n: int) -> np.ndarray:
-    fp = floor_phi_array(n + 1)
-    return (2 - (fp[2:] - fp[1:-1])).astype(np.uint8)
+    return _standard_words(n, swap=False)
 
 
 def fibonacci_prefix(n: int) -> FiniteWord:
@@ -444,7 +471,7 @@ def ternary_t_letter(n: int) -> int:
 
 
 def _ternary_t_array(n: int) -> np.ndarray:
-    return _replace_alternate_zeros_array(_fib_array(n), "second")
+    return _standard_words(n, swap=True)
 
 
 def ternary_t_prefix(n: int) -> FiniteWord:
@@ -506,7 +533,7 @@ class PaperfoldingWord(WordGenerator):
     alphabet_size = 2
 
     def _build(self, n):
-        return _pf_array_direct(n)
+        return _pf_array_toeplitz(n)
 
     def letter(self, n):
         return paperfolding_letter(n)
@@ -518,10 +545,6 @@ class FibonacciWord(WordGenerator):
 
     def _build(self, n):
         return _fib_array(n)
-
-    def prefix(self, n):
-        _require_beatty_array(n + 1)  # no array reaches that far at all
-        return super().prefix(n)
 
     def letter(self, n):
         return fibonacci_letter(n)
@@ -556,10 +579,6 @@ class TernaryBalancedWord(WordGenerator):
 
     def _build(self, n):
         return _ternary_t_array(n)
-
-    def prefix(self, n):
-        _require_beatty_array(n + 1)  # no array reaches that far at all
-        return super().prefix(n)
 
     def letter(self, n):
         return ternary_t_letter(n)

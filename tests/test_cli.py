@@ -37,14 +37,6 @@ class TestPrefix:
             main(["prefix", "--word", "thue", "--n", "5"])
         assert exc.value.code == 2
 
-    def test_beyond_beatty_array_limit(self, capsys):
-        code, out, err = run(capsys, "prefix", "--word", "fib",
-                             "--n", "1400000000")
-        assert code == 2
-        assert out == ""
-        assert err.count("\n") == 1
-        assert err.startswith("error: ") and "1300000000" in err
-
     def test_at_budget(self, capsys):
         code, out, err = run(capsys, "prefix", "--word", "pf",
                              "--n", str(PREFIX_BUDGET))
@@ -53,7 +45,7 @@ class TestPrefix:
         assert len(text) == PREFIX_BUDGET
         assert text[-1] == str(paperfolding_letter(PREFIX_BUDGET))
 
-    @pytest.mark.parametrize("word", ["pf", "phi", "t"])
+    @pytest.mark.parametrize("word", ["pf", "fib", "phi", "t"])
     def test_over_budget(self, capsys, word):
         code, out, err = run(capsys, "prefix", "--word", word,
                              "--n", str(PREFIX_BUDGET + 1))

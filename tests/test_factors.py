@@ -1,6 +1,7 @@
 """Factor scanning: Parikh sets, envelopes, balance, occurrence residues."""
 
 import functools
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -512,12 +513,12 @@ class TestZeroEnvelope:
         st.lists(st.sampled_from("01"), min_size=ell - 1, max_size=ell - 1),
         st.lists(st.sampled_from("01"), min_size=ell, max_size=ell),
         st.integers(0, 1),
-    )))
-    @example((list("1"), list("10"), 0))       # Thue-Morse
-    @example((list("11"), list("100"), 0))     # z0 < z1
-    @example((list("1"), list("11"), 1))       # the fixed point 111...
-    @example((list("01"), list("100"), 1))     # 1 -> 101, 0 -> 100
-    def test_recursion_equals_cover_scan(self, draw):
+    )), st.integers(0, 10**6))
+    @example((list("1"), list("10"), 0), 0)       # Thue-Morse
+    @example((list("11"), list("100"), 0), 0)     # z0 < z1
+    @example((list("1"), list("11"), 1), 0)       # the fixed point 111...
+    @example((list("01"), list("100"), 1), 0)     # 1 -> 101, 0 -> 100
+    def test_recursion_equals_cover_scan(self, draw, pick):
         tail, other, seed = draw
         images = ["", ""]
         images[seed] = str(seed) + "".join(tail)
@@ -529,9 +530,25 @@ class TestZeroEnvelope:
             power += 1
         n = ell**power
         z_min, z_max = zero_envelope_table(g, n, MorphicCover(power))
-        scan_min, scan_max = _scan_envelope_table(g, n, MorphicCover(power))
-        assert z_min.tolist() == scan_min.tolist()
-        assert z_max.tolist() == scan_max.tolist()
+        scan_min, scan_max = _scan_envelope_table(g, n + 2, MorphicCover(power + 1))
+        assert z_min.tolist() == scan_min[:n].tolist()
+        assert z_max.tolist() == scan_max[:n].tolist()
+        # just past a block end, and ending inside a block
+        for n_max in (n + 2, 3 + pick % n):
+            z_min, z_max = _desubstitution_envelopes(g, n_max)
+            assert z_min.tolist() == scan_min[:n_max].tolist(), n_max
+            assert z_max.tolist() == scan_max[:n_max].tolist(), n_max
+
+    @pytest.mark.parametrize("n_max,digest", [
+        (18_701, "f2c4d80726dd7ba7"),
+        (18_702, "0ef6ff1cc60979ab"),
+        (467_540, "6ac2eaa72968fd87"),  # table 1 with weights up to 8
+    ])
+    def test_phi_table_pinned(self, n_max, digest):
+        # sha256 of the int64 (z_min, z_max) rows as the index-array
+        # recursion computed them before the grid rewrite
+        table = np.stack(_desubstitution_envelopes(PHI, n_max)).astype("<i8")
+        assert hashlib.sha256(table.tobytes()).hexdigest()[:16] == digest
 
     def test_length2_factors_by_closure(self):
         assert _length2_factors(PHI.morphism, 0) == [(0, 0), (0, 1), (1, 0), (1, 1)]

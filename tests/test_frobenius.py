@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import frobwords
 from frobwords import factors, frobenius, ternary
+from frobwords.cli import main
 from frobwords.factors import (
     DESUBSTITUTION_TABLE_BUDGET,
     Certified,
@@ -17,6 +18,7 @@ from frobwords.factors import (
     zero_envelope_table,
 )
 from frobwords.frobenius import (
+    VALUE_MASK_BUDGET,
     Weights,
     _envelope_mask,
     _value_mask,
@@ -48,6 +50,10 @@ class TestWeights:
         with pytest.raises(ValueError, match="positive integers"):
             decide_cofinite((1, 1.5, 2))
         assert Weights((np.int64(2), True)) == (2, 1)
+
+    def test_weights_of_weights_is_itself(self):
+        w = Weights((3, 4))
+        assert Weights(w) is w
 
     def test_gcd(self):
         assert Weights((6, 10)).gcd == 2
@@ -273,6 +279,38 @@ class TestEnvelopeBudget:
             assert tracemalloc.get_traced_memory()[1] < 2**20
         finally:
             tracemalloc.stop()
+
+
+class TestValueMaskBudget:
+    def test_refused_before_allocating(self):
+        # needs lengths to 60,000, within CERTIFIED_TABLE_BUDGET, and a mask
+        # of 6 * 10**10 integers, which used to end in a 447 GiB MemoryError
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="VALUE_MASK_BUDGET"):
+                complement_below(PF, Weights((10**6, 10**6 + 1)), 6 * 10**10)
+            with pytest.raises(ValueError, match="VALUE_MASK_BUDGET"):
+                representable_set(T, Weights((10**6, 10**6 + 1, 10**6 + 2)), 100)
+            assert tracemalloc.get_traced_memory()[1] < 16 * 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_table1_to_weight_8_fits(self):
+        # (7, 8) has the largest bound of table 1 with weights up to 8
+        assert 3_162_508 <= VALUE_MASK_BUDGET
+        report = complement_below(MorphicFixedPoint(), Weights((7, 8)),
+                                  3_162_508, src=MorphicCover(9))
+        assert report.complement[-1] == 210
+
+    def test_cli_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(frobenius, "VALUE_MASK_BUDGET", 100)
+        frobwords.clear_caches()  # no memo entry may answer for the mask
+        code = main(["complement", "--word", "phi", "--weights", "3,4",
+                     "--bound", "300"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and "VALUE_MASK_BUDGET" in captured.err
 
 
 class TestClearCaches:

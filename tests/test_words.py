@@ -1,5 +1,8 @@
 """Word generation: printed prefixes, construction equivalence, exact floors."""
 
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,10 +14,13 @@ from frobwords.words import (
     _pf_letters,
     _replace_alternate_zeros_array,
     ConfigurationError,
+    FibonacciWord,
     FiniteWord,
     MorphicFixedPoint,
     Morphism,
     PHI_MORPHISM,
+    PaperfoldingWord,
+    TernaryBalancedWord,
     WORDS,
     fib_beatty,
     fibonacci_letter,
@@ -328,3 +334,52 @@ class TestGenerators:
         short = gen.prefix_array(10).copy()
         gen.prefix_array(10000)
         assert np.array_equal(gen.prefix_array(10), short)
+
+
+def _letters_by_beatty(n: int):
+    """fibonacci_letter and ternary_t_letter over 1..n as arrays: the same
+    Beatty floors, from floor_phi_array."""
+    fp = floor_phi_array(n + 1)
+    fib = 2 - (fp[2:] - fp[1:-1])
+    ordinal = fp[2:] - np.arange(2, n + 2)  # n - floor_alpha(n + 1)
+    t = np.where(fib == 1, 1, np.where(ordinal % 2 == 0, 2, 0))
+    return fib, t
+
+
+class TestGeneratorPrefixes:
+    LETTERS = {PaperfoldingWord: paperfolding_letter,
+               FibonacciWord: fibonacci_letter,
+               TernaryBalancedWord: ternary_t_letter}
+
+    @pytest.mark.parametrize("word", list(LETTERS))
+    def test_short_prefixes_match_letters(self, word):
+        letter = self.LETTERS[word]
+        for n in range(1, 65):
+            built = word()._build(n)
+            assert built.dtype == np.uint8
+            assert built.tolist() == [letter(i) for i in range(1, n + 1)], n
+
+    @pytest.mark.parametrize("n", [2**20 - 1, 2**20, 2**20 + 1])
+    def test_long_prefixes_match_letters(self, n):
+        fib, t = _letters_by_beatty(n)
+        expected = {PaperfoldingWord: _pf_array_direct(n),
+                    FibonacciWord: fib, TernaryBalancedWord: t}
+        positions = [*random.Random(n).sample(range(1, n + 1), 300),
+                     *range(n - 63, n + 1)]
+        for word, letter in self.LETTERS.items():
+            built = word()._build(n)
+            assert built.dtype == np.uint8 and len(built) == n
+            assert np.array_equal(built, expected[word])
+            assert [int(built[i - 1]) for i in positions] == [
+                letter(i) for i in positions]
+
+    @pytest.mark.parametrize("word,limit", [
+        (PaperfoldingWord, 3), (FibonacciWord, 3), (TernaryBalancedWord, 6)])
+    def test_build_memory(self, word, limit):
+        g = word()
+        tracemalloc.start()
+        try:
+            g._build(2**20)
+            assert tracemalloc.get_traced_memory()[1] < limit * 2**20
+        finally:
+            tracemalloc.stop()
