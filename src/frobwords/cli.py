@@ -18,11 +18,7 @@ import sys
 import time
 
 from . import golden, morphic, ternary, verify
-from .factors import (
-    MorphicCover,
-    StabilizationError,
-    abelian_complexity,
-)
+from .factors import StabilizationError, abelian_complexity
 from .frobenius import Weights, complement_below
 from .morphic import COVER_POWER, ab_bound
 from .ternary import Half, offsets
@@ -109,8 +105,9 @@ def _cmd_complexity(args) -> int:
     if args.n_min > args.n_max:
         print("error: --n-min exceeds --n-max", file=sys.stderr)
         return 2
-    # Every built-in word has an exact source (certified or a morphic
-    # cover), so no row can fail; the error column keeps the row format.
+    # Every built-in word has an exact single-length answer (certified, or
+    # the desubstitution walk for phi), so no row can fail; the error
+    # column keeps the row format.
     word = WORDS[args.word]
     rows = [{"n": n, "abelian_complexity": abelian_complexity(word, n),
              "error": ""} for n in range(args.n_min, args.n_max + 1)]
@@ -135,12 +132,7 @@ def _cmd_complement(args) -> int:
         bd = ab_bound(*weights)
         bound = args.bound if args.bound else bd.ceil_M
         max_len = max(bd.r, -(-bound // min(weights)))
-        if max_len > 5**COVER_POWER:
-            print(f"error: bound {bound} needs factor lengths beyond the "
-                  f"power-{COVER_POWER} cover", file=sys.stderr)
-            return 2
-        report = complement_below(
-            WORDS["phi"], weights, bound, max_len, src=MorphicCover(COVER_POWER))
+        report = complement_below(WORDS["phi"], weights, bound, max_len)
         rows = [{"weights": _set_str(weights), "bound": bound,
                  "complement": _set_str(report.complement)}]
         envelope = _envelope(

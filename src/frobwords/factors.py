@@ -6,9 +6,12 @@ are scanned and why that is enough:
 
 * ``ExplicitPrefix(length)`` -- scan one prefix, no completeness claim;
 * ``MorphicCover(power)``    -- for a fixed point of a uniform morphism of
-  width L, scan the power-fold images of all length-2 factors; this provably
-  sees every factor of length <= L**power.  Zero-envelope tables under this
-  source come from desubstitution instead of a scan (see below);
+  width L, every factor of length <= L**power, which the power-fold images
+  of all length-2 factors provably contain.  For a binary word the zero
+  envelopes, tables and single lengths alike, come from desubstitution
+  (see below), and the power is only the precondition n <= L**power.  A
+  word over more letters scans those images; so do ``verify`` and the
+  tests, as the reference for the recursion (``_scan_envelope_table``);
 * ``Certified()``            -- for the built-in pf, fib and t, read the
   answer off the word's structure and scan nothing (see below);
 * ``StabilizedDoubling(initial_length, max_length)`` -- scan a prefix,
@@ -48,7 +51,10 @@ that the slice keeps.  Read as a grid of rows of l lengths, each source
 length m lands on one row for d >= 1 and on the row before for d <= 0, so
 a block of lengths is a few strided broadcasts over one slice of shorter
 lengths, with the slice constants tabulated once per morphism
-(``_desubstitution_envelopes``).
+(``_desubstitution_envelopes``).  One length L reads only the source
+lengths ceil(L/l) and ceil((L+l-1)/l), so a single length walks at most
+two lengths per level down to the base case in plain ints
+(``_desubstitution_envelope``).
 
 Every scan is one window kernel, ``_window_scan``: prefix sums once per
 covering string, then one subtraction per window length.  It yields the
@@ -228,8 +234,10 @@ CERTIFIED_TABLE_BUDGET = 2**16
 #: traced.  Table 1 with weights up to 8 needs 467,540.
 DESUBSTITUTION_TABLE_BUDGET = 2**20
 
-#: Most symbols a MorphicCover may build, checked first: the four phi strings
-#: take 39,062,500 at power 10 (windows up to 5^10), 195,312,500 at power 11.
+#: Most symbols a MorphicCover scan may build, checked first: the four phi
+#: strings take 39,062,500 at power 10 (windows up to 5^10), 195,312,500 at
+#: power 11.  Only the reference scans of verify and the tests, and words
+#: over more than two letters, build covers.
 COVER_BUDGET = 2**26
 
 # Read-only per-generator caches; keys die with their generators.
@@ -246,7 +254,8 @@ def default_source(g: WordGenerator, n: int) -> FactorSource:
     ``Certified()`` for the built-in pf, fib and t (the 2-recursion, the
     Beatty form and the lift; base case L = 1 with (0, 1) at both start
     parities for pf), ``MorphicCover`` with the least power covering n for a
-    uniform morphic fixed point such as phi, and the heuristic
+    uniform morphic fixed point such as phi (desubstitution for a binary
+    one, so the power builds nothing), and the heuristic
     ``StabilizedDoubling()`` only for any other generator.
     """
     if type(g) in _CERTIFIED:
@@ -503,17 +512,25 @@ def _paperfolding_envelopes(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(env[0, 1:], env[2, 1:]), np.maximum(env[1, 1:], env[3, 1:])
 
 
+def _lengths_read(n: int, base: int, reads: Callable[[int], tuple]) -> list[int]:
+    """n and every length a single-length recursion reaches from it, in
+    ascending order: ``reads(m)`` are the lengths the step at m > base
+    reads, and lengths <= base are base cases.  Both recursions here read
+    at most two consecutive lengths per level."""
+    lengths = frontier = {n}
+    while frontier:
+        frontier = {h for m in frontier if m > base for h in reads(m)} - lengths
+        lengths = lengths | frontier
+    return sorted(lengths)
+
+
 def _paperfolding_envelope(n: int) -> tuple[int, int]:
     """(z_min, z_max) of pf at one length n, from the at most two lengths
     floor and ceil of n / 2**k at each level k, in plain ints."""
-    lengths = frontier = {n}
-    while frontier:
-        frontier = {h for m in frontier if m > 1
-                    for h in (m // 2, (m + 1) // 2)} - lengths
-        lengths = lengths | frontier
     env = {1: _PF_LENGTH_1}
-    for m in sorted(lengths - {1}):
-        env[m] = _paperfolding_step(m, env[m // 2], env[(m + 1) // 2])
+    for m in _lengths_read(n, 1, lambda m: (m // 2, (m + 1) // 2)):
+        if m > 1:
+            env[m] = _paperfolding_step(m, env[m // 2], env[(m + 1) // 2])
     even_lo, even_hi, odd_lo, odd_hi = env[n]
     return min(even_lo, odd_lo), max(even_hi, odd_hi)
 
@@ -624,6 +641,9 @@ def zero_envelope(g: WordGenerator, n: int, src: FactorSource | None = None) -> 
         src = default_source(g, n)
     if isinstance(src, Certified):
         z_min, z_max = _certified(g, n, table=False)
+    elif isinstance(src, MorphicCover):
+        _require_cover(g, n, src)
+        z_min, z_max = _desubstitution_envelope(g, n)
     else:
         z_min, z_max = _scan_rows(g, [n], src)[0]
     return ZeroEnvelope(n, z_min, z_max)
@@ -653,13 +673,18 @@ _NONE = 2**29
 
 def _desubstitution_constants(g: MorphicFixedPoint):
     """The slice constants of the desubstitution recursion of g, built once
-    per generator: (z1, slope, const_lo, const_hi, any_lo, any_hi).
+    per generator: (z1, slope, const_lo, const_hi, any_lo, any_hi, walk).
 
     const_lo[part, a, b, f, l, col] is the least, const_hi the most, of
     -zeros(s(a)[:j]) - zeros(s(b)[kept:]) over the cuts j < l, 1 <= kept <= l
     with offset d = kept - j = col + 1 - part*l, s(a)[j] = f and
     s(b)[kept-1] = l, or +-_NONE where there is none.  any_lo and any_hi
     take the extremum over the destination letters f and l as well.
+
+    walk = (terms, known) holds the same in plain ints for the single-length
+    walk: terms[d] lists (a*k + b, f*k + l, lo, hi) for every cut that
+    exists at offset d, and known maps lengths 1 and 2 to their envelopes
+    {a*k + b: (lo, hi)} over the factors that start with a and end with b.
     """
     per_gen = _DESUBSTITUTION_CACHE.get(g)
     if per_gen is not None:
@@ -681,8 +706,23 @@ def _desubstitution_constants(g: MorphicFixedPoint):
     const_hi = np.full((2, k, k, k, k, ell), -_NONE, dtype=np.int32)
     np.minimum.at(const_lo, at, const)
     np.maximum.at(const_hi, at, const)
+
+    terms = {}
+    cut = const_lo <= const_hi
+    for (part, a, b, first, last, col), c_lo, c_hi in zip(
+            np.argwhere(cut).tolist(), const_lo[cut].tolist(),
+            const_hi[cut].tolist()):
+        terms.setdefault(col + 1 - part * ell, []).append(
+            (a * k + b, first * k + last, c_lo, c_hi))
+    known = {1: {}, 2: {}}
+    for a, b in _length2_factors(m, g.seed):
+        for c in (a, b):
+            known[1][c * k + c] = (int(c == 0),) * 2
+        known[2][a * k + b] = (int(a == 0) + int(b == 0),) * 2
+
     per_gen = (z1, z0 - z1, const_lo, const_hi,
-               const_lo.min(axis=(3, 4)), const_hi.max(axis=(3, 4)))
+               const_lo.min(axis=(3, 4)), const_hi.max(axis=(3, 4)),
+               (terms, known))
     _DESUBSTITUTION_CACHE[g] = per_gen
     return per_gen
 
@@ -727,7 +767,8 @@ def _desubstitution_envelopes(
         raise ValueError(
             f"a desubstitution table to length {n_max} exceeds the budget "
             f"DESUBSTITUTION_TABLE_BUDGET = {DESUBSTITUTION_TABLE_BUDGET} lengths")
-    z1, slope, const_lo, const_hi, any_lo, any_hi = _desubstitution_constants(g)
+    z1, slope, const_lo, const_hi, any_lo, any_hi, (_, known) = (
+        _desubstitution_constants(g))
     ell, k = g.morphism.uniform_length, g.morphism.alphabet_size
     keep = -(-(n_max + ell - 1) // ell)  # longest source length read
     keep_rows, out_rows = -(-keep // ell), -(-n_max // ell)
@@ -737,10 +778,9 @@ def _desubstitution_envelopes(
     # are the same lengths 1.. as rows of l.
     lo = np.full((k, k, 1 + ell * keep_rows), _NONE, dtype=np.int32)
     hi = np.full((k, k, 1 + ell * keep_rows), -_NONE, dtype=np.int32)
-    for a, b in _length2_factors(g.morphism, g.seed):
-        for c in (a, b):
-            lo[c, c, 1] = hi[c, c, 1] = int(c == 0)
-        lo[a, b, 2] = hi[a, b, 2] = int(a == 0) + int(b == 0)
+    for length, envelopes in known.items():
+        for ab, (zeros, _) in envelopes.items():
+            lo[ab // k, ab % k, length] = hi[ab // k, ab % k, length] = zeros
     lo_grid = lo[:, :, 1:].reshape(k, k, keep_rows, ell)
     hi_grid = hi[:, :, 1:].reshape(k, k, keep_rows, ell)
     z_min = np.full(ell * out_rows, _NONE, dtype=np.int32)
@@ -789,6 +829,45 @@ def _desubstitution_envelopes(
     return z_min[:n_max], z_max[:n_max]
 
 
+def _desubstitution_envelope(g: MorphicFixedPoint, n: int) -> tuple[int, int]:
+    """(z_min, z_max) of a binary fixed point of a uniform morphism of
+    width l at one length n, by the recursion of _desubstitution_envelopes
+    in plain ints, over only the lengths it reads.
+
+    A length L >= 3 reads the sources m = ceil((j+L)/l), j < l, which are
+    ceil(L/l) and ceil((L+l-1)/l), each at the one offset L - l*(m-1); so
+    each level holds at most two lengths, and n costs O(log n) steps of at
+    most k**4 slice constants each, with no table and no budget.
+    """
+    z1, slope, *_, (terms, known) = _desubstitution_constants(g)
+    ell = g.morphism.uniform_length
+
+    def sources(length):
+        return {-(-length // ell), -(-(length + ell - 1) // ell)}
+
+    env = dict(known)  # length -> {a*k + b: (lo, hi)}
+    for length in _lengths_read(n, 2, sources):
+        if length in env:
+            continue
+        out = {}
+        for m in sources(length):
+            base, source = z1 * m, env[m]
+            for ab, fl, c_lo, c_hi in terms[length - ell * (m - 1)]:
+                if ab not in source:
+                    continue
+                v_lo, v_hi = source[ab]
+                if slope < 0:
+                    v_lo, v_hi = v_hi, v_lo
+                lo, hi = base + slope * v_lo + c_lo, base + slope * v_hi + c_hi
+                if fl in out:
+                    old_lo, old_hi = out[fl]
+                    lo, hi = min(lo, old_lo), max(hi, old_hi)
+                out[fl] = lo, hi
+        env[length] = out
+    return (min(lo for lo, _ in env[n].values()),
+            max(hi for _, hi in env[n].values()))
+
+
 def zero_envelope_table(
     g: WordGenerator, n_max: int, src: FactorSource | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -796,19 +875,18 @@ def zero_envelope_table(
 
     The table form exists because downstream representability sweeps need
     every length at once.  Under MorphicCover it is computed exactly by
-    desubstitution, so every power shares one table, within
-    DESUBSTITUTION_TABLE_BUDGET lengths; under Certified by the pf
-    2-recursion or the fib Beatty form, within CERTIFIED_TABLE_BUDGET
-    lengths; under the other sources it is a scan, stabilized jointly under
-    StabilizedDoubling.
+    desubstitution, so every power shares one table and the power is only
+    the precondition n_max <= l**power, within DESUBSTITUTION_TABLE_BUDGET
+    lengths; under Certified by the pf 2-recursion or the fib Beatty form,
+    within CERTIFIED_TABLE_BUDGET lengths; under the other sources it is a
+    scan, stabilized jointly under StabilizedDoubling.
 
     Tables are cached per generator grow-only, so repeated sweeps share one
     computation, and come back at length exactly n_max.  A desubstitution
     table that misses the cache is built to max(n_max, 2 * cached length),
-    clipped to l**power for a cover of width l and to
-    DESUBSTITUTION_TABLE_BUDGET, so a climb through rising lengths costs a
-    few builds, not one per length.  The other sources build exactly n_max,
-    so a doubling stops where it would uncached.
+    clipped to DESUBSTITUTION_TABLE_BUDGET, so a climb through rising
+    lengths costs a few builds, not one per length.  The other sources
+    build exactly n_max, so a doubling stops where it would uncached.
     """
     if g.alphabet_size != 2:
         raise ValueError("zero envelopes are defined for binary words")
@@ -826,9 +904,7 @@ def zero_envelope_table(
 
     size = n_max
     if key is MorphicCover:
-        limit = min(g.morphism.uniform_length**src.power,
-                    DESUBSTITUTION_TABLE_BUDGET)
-        size = max(n_max, min(2 * cached[0], limit))
+        size = max(n_max, min(2 * cached[0], DESUBSTITUTION_TABLE_BUDGET))
         z_min, z_max = _desubstitution_envelopes(g, size)
     elif isinstance(src, Certified):
         z_min, z_max = _certified(g, n_max, table=True)

@@ -394,10 +394,21 @@ def _ternary_checks(quick: bool) -> list[CheckResult]:
                            p[0] - p[2] in (0, 1)))
 
     n_ll = 60 if quick else 500
+    n_bal = 200 if quick else 2000
+    n_g = 300 if quick else 2000
+    # Values up to the complement bound B come from factors of length at
+    # most B // min(S); longer rows only add values above B.
+    bounds = {s: ternary._complement_bound(ternary._triple(s))
+              for s, _ in golden.TABLE2_GOLDEN}
+    n_scan = max(b // min(s) + 1 for s, b in bounds.items())
+    # One doubling scan of t serves every check below that reads t's rows.
+    t_table = parikh_set_table(_T, max(n_ll, n_bal, n_g, n_scan),
+                               StabilizedDoubling())
+
     text, fib_starts = ternary._fib_factor_starts(n_ll)
     ok_lemma_l = True
     for n, starts in enumerate(fib_starts, start=1):
-        t_set = set(parikh_set(_T, n, StabilizedDoubling()))
+        t_set = set(t_table[n - 1])
         mat = text[starts[:, None] + np.arange(n)]
         images = _row_parikhs(
             words._replace_alternate_zeros_array(mat, "second")) | _row_parikhs(
@@ -408,20 +419,19 @@ def _ternary_checks(quick: bool) -> list[CheckResult]:
         f"ternary factors = both substitutions of Fibonacci factors to {n_ll}",
         bool(ok_lemma_l)))
 
-    n_bal = 200 if quick else 2000
-    t_table = parikh_set_table(_T, n_bal, StabilizedDoubling())
     f_table = parikh_set_table(_FIB, n_bal, StabilizedDoubling())
+    t_bal = t_table[:n_bal]
     out.append(CheckResult(
         "ternary", f"constant complexity (2 for fib, 3 for t) to {n_bal}",
-        all(len(r) == 2 for r in f_table) and all(len(r) == 3 for r in t_table)))
+        all(len(r) == 2 for r in f_table) and all(len(r) == 3 for r in t_bal)))
     bal_ok = all(max(counts) - min(counts) <= 1
-                 for row in f_table + t_table for counts in zip(*row))
+                 for row in f_table + t_bal for counts in zip(*row))
     out.append(CheckResult("ternary", f"fib and t are 1-balanced to {n_bal}",
                            bool(bal_ok)))
     out.append(CheckResult(
         "ternary", f"Beatty and lift tables equal the doubling scan to {n_bal}",
         parikh_set_table(_FIB, n_bal, Certified()) == f_table
-        and parikh_set_table(_T, n_bal, Certified()) == t_table))
+        and parikh_set_table(_T, n_bal, Certified()) == t_bal))
 
     moduli = (2,) if quick else (2, 3)
     n_factors = 4 if quick else 10
@@ -502,11 +512,9 @@ def _ternary_checks(quick: bool) -> list[CheckResult]:
         "ternary", f"prefix-value displays at both parities to {n_vec}",
         bool(cor_ok)))
 
-    n_g = 300 if quick else 2000
-    g_table = parikh_set_table(_T, n_g, StabilizedDoubling())
     triples = ORACLE_TRIPLES[:3] if quick else ORACLE_TRIPLES
     g_ok = all(
-        frozenset(v.dot(Weights(s)) for v in g_table[n - 1]) == g_values(n, s)
+        frozenset(v.dot(Weights(s)) for v in t_table[n - 1]) == g_values(n, s)
         for s in triples for n in range(2, n_g + 1)
     )
     out.append(CheckResult(
@@ -592,15 +600,9 @@ def _ternary_checks(quick: bool) -> list[CheckResult]:
         "ternary", "cofinite triple table reproduced exactly",
         computed == [(w, c) for w, c in golden.TABLE2_GOLDEN]))
 
-    # Values up to the complement bound B come from factors of length at
-    # most B // min(S); longer rows only add values above B.
-    bounds = {s: ternary._complement_bound(ternary._triple(s))
-              for s, _ in golden.TABLE2_GOLDEN}
-    t_rows = parikh_set_table(
-        _T, max(b // min(s) + 1 for s, b in bounds.items()), StabilizedDoubling())
     scan_ok = True
     for s, bound in bounds.items():
-        hit = {v.dot(Weights(s)) for row in t_rows for v in row}
+        hit = {v.dot(Weights(s)) for row in t_table[:n_scan] for v in row}
         scan_ok &= ternary.decide_cofinite(s).complement == tuple(
             v for v in range(1, bound + 1) if v not in hit)
     out.append(CheckResult(

@@ -379,15 +379,11 @@ def _standard_words(n: int, swap: bool) -> np.ndarray:
     return out[:n]
 
 
-def _fib_array(n: int) -> np.ndarray:
-    return _standard_words(n, swap=False)
-
-
 def fibonacci_prefix(n: int) -> FiniteWord:
     """Length-n prefix of the Fibonacci word over {0,1}."""
     if n < 1:
         raise ValueError("prefix length must be >= 1")
-    return FiniteWord(_fib_array(n), 2)
+    return FiniteWord(_standard_words(n, swap=False), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -470,15 +466,11 @@ def ternary_t_letter(n: int) -> int:
     return 2 if ordinal % 2 == 0 else 0
 
 
-def _ternary_t_array(n: int) -> np.ndarray:
-    return _standard_words(n, swap=True)
-
-
 def ternary_t_prefix(n: int) -> FiniteWord:
     """Length-n prefix of t = every-second-zero substitution of the Fibonacci word."""
     if n < 1:
         raise ValueError("prefix length must be >= 1")
-    return FiniteWord(_ternary_t_array(n), 3)
+    return FiniteWord(_standard_words(n, swap=True), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +536,7 @@ class FibonacciWord(WordGenerator):
     alphabet_size = 2
 
     def _build(self, n):
-        return _fib_array(n)
+        return _standard_words(n, swap=False)
 
     def letter(self, n):
         return fibonacci_letter(n)
@@ -578,7 +570,7 @@ class TernaryBalancedWord(WordGenerator):
     alphabet_size = 3
 
     def _build(self, n):
-        return _ternary_t_array(n)
+        return _standard_words(n, swap=True)
 
     def letter(self, n):
         return ternary_t_letter(n)

@@ -91,6 +91,9 @@ class TestComplexity:
         ("pf", 16384, 3), ("pf", 20000, 9), ("t", 16384, 3), ("fib", 20000, 2),
         # one length needs no table, so no budget applies
         ("pf", 10**10, 17), ("t", 10**12, 3), ("fib", 10**12, 2),
+        # phi by the desubstitution walk; both values equal the scan of the
+        # power-10 cover (four strings of 5^10 symbols)
+        ("phi", 2_000_000, 641), ("phi", 9_765_625, 1025),
     ])
     def test_long_lengths(self, capsys, word, n, rho):
         code, out, err = run(capsys, "complexity", "--word", word,
@@ -100,13 +103,14 @@ class TestComplexity:
         assert out.splitlines()[1] == f"{n},{rho},"
 
     def test_phi_beyond_cover_budget(self, capsys):
-        # Used to end in a numpy _ArrayMemoryError traceback under a 2 GB
-        # address-space limit.
+        # A cover of 10^8 would exceed COVER_BUDGET; the desubstitution walk
+        # needs none.  No independent oracle reaches this length, so the
+        # value pins the walk.
         code, out, err = run(capsys, "complexity", "--word", "phi",
-                             "--n-min", "100000000", "--n-max", "100000000")
-        assert (code, out) == (2, "")
-        assert err.count("\n") == 1
-        assert err.startswith("error: ") and "COVER_BUDGET" in err
+                             "--n-min", "100000000", "--n-max", "100000000",
+                             "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "100000000,4609,"
 
     def test_csv_has_header(self, capsys):
         _, out, _ = run(capsys, "complexity", "--word", "fib",
@@ -154,6 +158,16 @@ class TestComplement:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("error: ") and "2^22-symbol" in err
+
+    def test_phi_beyond_table_budget(self, capsys):
+        # factor lengths to 3,000,000 exceed the desubstitution table budget:
+        # one error line, no traceback, before anything is allocated
+        code, out, err = run(capsys, "complement", "--word", "phi",
+                             "--weights", "1,2", "--bound", "3000000")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: ")
+        assert "DESUBSTITUTION_TABLE_BUDGET" in err
 
     def test_t_rejects_bound(self, capsys):
         code, out, err = run(capsys, "complement", "--word", "t",

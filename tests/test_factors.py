@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import json
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from frobwords import cli, factors, frobenius, verify
 from frobwords.factors import (
+    _desubstitution_envelope,
     _desubstitution_envelopes,
     _length2_factors,
     _paperfolding_envelopes,
@@ -410,6 +412,7 @@ class TestEnvelopeGrowth:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(1, 700), min_size=1, max_size=8),
            st.integers(4, 5), st.integers(200, 800))
+    @example([400, 600], 4, 800)  # the second build, 800, passes 5^4
     def test_exact_tables_grow_geometrically(self, lengths, power, budget):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(factors, "DESUBSTITUTION_TABLE_BUDGET", budget)
@@ -433,10 +436,10 @@ class TestEnvelopeGrowth:
                     assert [len(a) for a in got] == [n, n]
                     assert [a.tolist() for a in got] == [a.tolist() for a in fresh(n)]
         # a desubstitution build at least doubles the cached length, within
-        # the limit; a certified one builds exactly each new longest length
-        limit = words[0][2]
-        assert all(size <= limit for size in desub)
-        assert all(new >= min(2 * old, limit) for old, new in zip(desub, desub[1:]))
+        # the budget whatever the cover power; a certified one builds exactly
+        # each new longest length
+        assert all(size <= budget for size in desub)
+        assert all(new >= min(2 * old, budget) for old, new in zip(desub, desub[1:]))
         longest = 0
         misses = []
         for n in lengths:
@@ -453,7 +456,7 @@ class TestEnvelopeGrowth:
         assert sizes == [132, 264, 528, 1056]
         for n in (1700, 2500):
             zero_envelope_table(g, n, MorphicCover(5))
-        assert sizes[4:] == [2112, 5**5]  # clipped to 5^5, not 4224
+        assert sizes[4:] == [2112, 4224]  # past 5^5: the power shapes no build
 
     def test_scan_sources_build_what_is_asked(self, monkeypatch):
         sizes = _counted_builder(monkeypatch, "_scan_envelope_table")
@@ -489,18 +492,19 @@ class TestZeroEnvelope:
 
     def test_cover_budget(self):
         # Four phi strings of 5^10 symbols fit, of 5^11 do not; over the
-        # budget the error comes before any cover string is built.
+        # budget the reference scan fails before any cover string is built.
         assert len(_length2_factors(PHI.morphism, 0)) * 5**10 <= COVER_BUDGET
         with mock.patch.object(Morphism, "power_array", side_effect=AssertionError):
-            for n in (5**10 + 1, 10**8):
-                with pytest.raises(ValueError, match="COVER_BUDGET"):
-                    zero_envelope(MorphicFixedPoint(), n)
+            with pytest.raises(ValueError, match="COVER_BUDGET"):
+                _scan_envelope_table(MorphicFixedPoint(), 5**10 + 1, MorphicCover(11))
 
     def test_table_matches_per_length(self):
         for power, lengths in (
             (3, (1, 3, 17, 30)),
             (5, range(1, 5**5 + 1)),
             (7, (*range(3126, 18702, 997), 15625, 15626, 18701, 18702)),
+            # past 5^7, to table 1 with weights up to 8
+            (9, (78_126, 390_625, 467_540)),
         ):
             z_min, z_max = zero_envelope_table(PHI, max(lengths), MorphicCover(power))
             for n in lengths:
@@ -538,6 +542,40 @@ class TestZeroEnvelope:
             z_min, z_max = _desubstitution_envelopes(g, n_max)
             assert z_min.tolist() == scan_min[:n_max].tolist(), n_max
             assert z_max.tolist() == scan_max[:n_max].tolist(), n_max
+            assert _desubstitution_envelope(g, n_max) == (
+                scan_min[n_max - 1], scan_max[n_max - 1]), n_max
+
+    def test_phi_never_builds_a_cover(self, monkeypatch, capsys):
+        def no_cover(*args):
+            raise AssertionError("phi reached a cover scan")
+
+        monkeypatch.setattr(factors, "_morphic_cover_strings", no_cover)
+        assert cli.main(["complexity", "--word", "phi", "--n-min", "1",
+                         "--n-max", "300"]) == 0
+        assert capsys.readouterr().err == ""
+        assert cli.main(["tables", "--which", "1"]) == 1  # the (3,1) erratum
+        capsys.readouterr()
+        assert cli.main(["complement", "--word", "phi", "--weights", "7,8",
+                         "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["result"]["complement"][-1] == 210
+        env = zero_envelope(PHI, 10**8)
+        assert env.z_max - env.z_min + 1 == 4609
+
+    def test_ternary_cover_still_scans(self):
+        # a word over three letters has no desubstitution here: MorphicCover
+        # scans the cover images, and sees what a long prefix sees
+        m = Morphism([FiniteWord.from_string(w, 3) for w in ("012", "120", "201")])
+        g = MorphicFixedPoint(m, 0, family="test")
+        with mock.patch.object(factors, "_morphic_cover_strings",
+                               wraps=factors._morphic_cover_strings) as cover:
+            table = parikh_set_table(g, 27, MorphicCover(3))
+            single = parikh_set(g, 20, MorphicCover(3))
+        assert cover.call_count == 2
+        assert table == parikh_set_table(g, 27, ExplicitPrefix(3**8))
+        assert single == table[19]
+        assert len({len(row) for row in table}) > 1
 
     @pytest.mark.parametrize("n_max,digest", [
         (18_701, "f2c4d80726dd7ba7"),
