@@ -56,16 +56,24 @@ lengths ceil(L/l) and ceil((L+l-1)/l), so a single length walks at most
 two lengths per level down to the base case in plain ints
 (``_desubstitution_envelope``).
 
-Every scan is one window kernel, ``_window_scan``: prefix sums once per
-covering string, then one subtraction per window length.  It yields the
-zero-count extrema of a binary word and the distinct (ones, twos) pairs of
-a ternary one.  Binary Parikh sets need no more than the extrema: moving a
-length-n window one step changes its zero count by at most 1, so the zero
-counts over one string, and over all factors of an infinite word, fill the
-interval between them.  A source either scans one prefix or, as a morphic
-cover, sees exactly the factors, so the Parikh set at n is the zero envelope
-at n, and a table of them is unchanged across a doubling exactly when the
+Every scan is one window kernel, ``_window_scan``: prefix sums, then one
+subtraction per window length.  It yields the zero-count extrema of a
+binary word and the distinct (ones, twos) pairs of a ternary one.  Binary
+Parikh sets need no more than the extrema: moving a length-n window one
+step changes its zero count by at most 1, so the zero counts over one
+string, and over all factors of an infinite word, fill the interval
+between them.  A source either scans one prefix or, as a morphic cover,
+sees exactly the factors, so the Parikh set at n is the zero envelope at
+n, and a table of them is unchanged across a doubling exactly when the
 envelope table is.  Nothing here depends on floating point.
+
+The binary kernel walks each string in blocks of _SCAN_BLOCK symbols.  A
+window of length n <= n_max that ends in a block reads the sums of that
+block and the n_max sums before it, so the kernel carries only those into
+the next block: a scan holds O(n_max + _SCAN_BLOCK) sums, not a
+full-length sums array and its temporaries, and a string that fits in one
+block is one pass.  Window lengths stay the inner loop of each block, one
+subtraction each.
 
 A doubling step scans only the new half and the n_max - 1 symbols before
 it.  Going from a prefix of length L to 2L, the only new windows of length
@@ -77,10 +85,22 @@ scan of the whole 2L prefix, so the result, the length it stops at and the
 cap error are those of a full rescan, and the result is unchanged exactly
 when the new half added nothing.
 
+A binary table 1..n_max skips, in each step, the lengths sub-additivity
+already fixes.  A window of length n splits into windows of lengths a and
+n - a, so over any prefix z_max(n) <= z_max(a) + z_max(n-a) and
+z_min(n) >= z_min(a) + z_min(n-a) for 0 < a < n.  If the previous row at
+n >= 2 already equals both bounds and no shorter row changes in this step,
+the bounds over the longer prefix are the same, so the row at n, which can
+only widen, cannot move.  The step scans the other lengths, length 1
+always among them, and if one of their rows changed, rescans the skipped
+lengths above the least that did (``_hull_step``).  The result, the stop
+length and the cap error are still those of a full rescan.
+
 The binary kernel keeps its prefix sums in wrapping uint16 while every
-window length is below 2**16: a difference of two sums is then the true
-zero count modulo 2**16, and that count lies in [0, n] with n < 2**16, so
-it is exact.  Longer windows use int32.
+window length is below 2**16, block by block: the carried sums and the
+block's sums continue one running count modulo 2**16, a difference of two
+sums is the true zero count modulo 2**16, and that count lies in [0, n]
+with n < 2**16, so it is exact.  Longer windows use int32.
 """
 
 from __future__ import annotations
@@ -323,32 +343,36 @@ def _morphic_cover_strings(g: MorphicFixedPoint, power: int) -> list[np.ndarray]
 
 def _scan_source(
     g: WordGenerator,
-    n_max: int,
+    lengths: Sequence[int],
     src: FactorSource,
-    scan: Callable[[list[np.ndarray]], tuple],
+    scan: Callable[[list[np.ndarray], Sequence[int]], tuple],
     merge: Callable[[R, R], R],
 ) -> tuple:
     """Run a scan function over the covering strings demanded by src.
 
-    ``scan`` returns one row per window length, all lengths <= n_max;
-    ``merge`` joins two rows of one length into the row of the union of
-    their windows (``_hull`` for zero-count extrema, ``_union`` for sorted
-    sets).  Under StabilizedDoubling each step from length L to 2L scans
-    only prefix[L - n_max + 1 : 2L], the windows that end in the new half,
-    and merges it row by row into the previous result, which makes it the
-    scan of the whole 2L prefix.  The result is accepted once a doubling
+    ``lengths`` are distinct window lengths in ascending order, and
+    ``scan(strings, lengths)`` returns one row per length over those
+    strings; ``merge`` joins two rows of one length into the row of the
+    union of their windows (``_hull`` for zero-count extrema, ``_union``
+    for sorted sets).  Under StabilizedDoubling each step from length L to
+    2L scans only prefix[L - n_max + 1 : 2L], the windows that end in the
+    new half, and merges it row by row into the previous result, which
+    makes it the scan of the whole 2L prefix.  For a binary table, lengths
+    1..n_max merged by ``_hull``, the step skips the lengths sub-additivity
+    already fixes (``_hull_step``).  The result is accepted once a doubling
     leaves it unchanged, and StabilizationError is raised if the cap comes
     first.
     """
+    n_max = lengths[-1]
     if n_max < 1:
         raise ValueError("window length must be >= 1")
     if isinstance(src, ExplicitPrefix):
         if src.length < n_max:
             raise ValueError("explicit prefix shorter than the window")
-        return scan([g.prefix_array(src.length)])
+        return scan([g.prefix_array(src.length)], lengths)
     if isinstance(src, MorphicCover):
         _require_cover(g, n_max, src)
-        return scan(_morphic_cover_strings(g, src.power))
+        return scan(_morphic_cover_strings(g, src.power), lengths)
     if isinstance(src, StabilizedDoubling):
         length = src.initial_length if src.initial_length else 64 * n_max
         length = max(length, n_max)
@@ -357,11 +381,15 @@ def _scan_source(
                 f"initial length {length} leaves no doubling below the cap "
                 f"{src.max_length}"
             )
-        previous = scan([g.prefix_array(length)])
+        binary_table = merge is _hull and len(lengths) == n_max
+        previous = scan([g.prefix_array(length)], lengths)
         while 2 * length <= src.max_length:
             tail = g.prefix_array(2 * length)[length - n_max + 1:]
             length *= 2
-            current = tuple(map(merge, previous, scan([tail])))
+            if binary_table:
+                current = _hull_step(previous, tail, scan)
+            else:
+                current = tuple(map(merge, previous, scan([tail], lengths)))
             if current == previous:
                 return current
             previous = current
@@ -372,12 +400,90 @@ def _scan_source(
     raise TypeError(f"unknown factor source {src!r}")
 
 
+def _split_bounds(
+    z_min: np.ndarray, z_max: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The bounds a table of zero-count extrema puts on itself, one per
+    length n = 1..n_max (index n-1): the most over 0 < a < n of
+    z_min(a) + z_min(n-a), and the least of z_max(a) + z_max(n-a).
+
+    Every length-n window of a string splits into windows of lengths a and
+    n-a of that string, so the extrema over any string lie within these
+    bounds.  Length 1 has no split; its bounds are -_NONE and _NONE, which
+    no row reaches.  By symmetry a runs to n_max // 2 only, over strided
+    views of a padded copy, _SCAN_BLOCK entries at a time.
+    """
+    n_max = len(z_max)
+    half = n_max // 2
+    bounds = []
+    for z, pad, pick, reduce in ((z_min, -_NONE, np.maximum, np.max),
+                                 (z_max, _NONE, np.minimum, np.min)):
+        # padded[n_max - 1 + m] = z(m), pad for m <= 0; row n_max - a of
+        # the windows holds z(n - a) at column n - 1
+        padded = np.full(2 * n_max, pad, dtype=np.int32)
+        padded[n_max:] = z
+        windows = np.lib.stride_tricks.sliding_window_view(padded, n_max)
+        bound = np.full(n_max, pad, dtype=np.int32)
+        split_bound = bound[1:]  # lengths 2..n_max
+        step = max(1, _SCAN_BLOCK // n_max)
+        for a in range(1, half + 1, step):
+            stop = min(a + step, half + 1)
+            rows = windows[n_max - stop + 1:n_max - a + 1, 1:][::-1]
+            split = z[a - 1:stop - 1, None] + rows
+            pick(split_bound, reduce(split, axis=0), out=split_bound)
+        bounds.append(bound)
+    return bounds[0], bounds[1]
+
+
+def _hull_step(previous: tuple, tail: np.ndarray, scan) -> tuple:
+    """The binary table for lengths 1..n_max over the prefix that ends with
+    tail, from ``previous``, the table over the prefix before tail; tail
+    starts n_max - 1 symbols before the new part.
+
+    Write P for previous and C for the result, so C(n) = _hull(P(n), the
+    row of tail at n), and C(n) contains P(n).  Take n >= 2 with
+    P(n) equal to its split bounds over P (``_split_bounds``), and suppose
+    C(a) = P(a) for every a < n.  The split bounds hold over the longer
+    prefix as well, so z_max of C(n) is at most the least
+    z_max(a) + z_max(n-a) over C, which is that over P, which is z_max of
+    P(n); likewise for z_min.  So C(n) = P(n) without a scan.
+
+    The first pass scans every length whose row is not at its bounds,
+    length 1 among them.  If no scanned row changed, every skipped row is
+    unchanged by induction on n.  Otherwise let c be the least length whose
+    row changed: the skipped lengths below c are still settled, and those
+    above c are scanned in a second pass.  The result is that of scanning
+    every length, so the doubling stops where a full rescan stops.
+    """
+    n_max = len(previous)
+    z_min, z_max = np.array(previous, dtype=np.int32).T
+    lo_bound, hi_bound = _split_bounds(z_min, z_max)
+    settled = ((z_min == lo_bound) & (z_max == hi_bound)).tolist()
+    current = list(previous)
+    todo = [n for n in range(1, n_max + 1) if not settled[n - 1]]
+    for n, row in zip(todo, scan([tail], todo)):
+        current[n - 1] = _hull(previous[n - 1], row)
+    changed = next((n for n in todo if current[n - 1] != previous[n - 1]), n_max)
+    rest = [n for n in range(changed + 1, n_max + 1) if settled[n - 1]]
+    if rest:
+        for n, row in zip(rest, scan([tail], rest)):
+            current[n - 1] = _hull(previous[n - 1], row)
+    return tuple(current)
+
+
 # ---------------------------------------------------------------------------
 # Window scans (numpy kernels)
 # ---------------------------------------------------------------------------
 
-def _count_prefix_sums(arr: np.ndarray, letter: int, dtype=np.int32) -> np.ndarray:
-    out = np.zeros(len(arr) + 1, dtype=dtype)
+#: Symbols per block of the binary window kernel, so a scan holds
+#: O(n_max + block) sums however long its strings are.  parikh_set(pf, 2^k)
+#: for k = 1..14 under doubling took 16-17 ms at blocks of 2^16 to 2^18,
+#: 21 ms at 2^14 and 24 ms in one full-length pass (2 cores, numpy 2.4).
+_SCAN_BLOCK = 2**17
+
+
+def _count_prefix_sums(arr: np.ndarray, letter: int) -> np.ndarray:
+    out = np.zeros(len(arr) + 1, dtype=np.int32)
     np.cumsum(arr == letter, out=out[1:])
     return out
 
@@ -388,51 +494,96 @@ def _window_scan(strings: list[np.ndarray], lengths: Iterable[int], alphabet_siz
     (binary), or the sorted distinct (ones, twos) count pairs over them
     (ternary).  Strings shorter than n are skipped.
 
-    Prefix sums are built once per string; each length then costs one
-    subtraction per string into a reused buffer.  Binary prefix sums wrap
+    A binary string is walked in blocks of _SCAN_BLOCK symbols.  The
+    prefix sums of a block continue the last n_max sums of the block before
+    it, n_max = max(lengths), which are all the sums a window ending in this
+    block reads; each length then costs one subtraction over the windows
+    that end in the block, into a reused buffer, and folds its least and
+    most into that length's running extrema.  So a scan holds
+    O(n_max + _SCAN_BLOCK) sums whatever the string length, and a string
+    that fits in one block is one pass.  Binary prefix sums wrap
     in uint16 while every length is below 2**16 (see the module docstring),
-    else they are int32.  A ternary prefix sum is the single code
-    ones*B + twos with B = max(lengths) + 1, so one difference gives both
-    counts of a window in base B, and the distinct codes are marked in a
-    scatter over at most (n+1)*B entries.  Codes stay below N*B for strings
-    of length N; below N, B = 2**31 they cannot overflow int64.
+    else they are int32.
+
+    A ternary prefix sum is the single code ones*B + twos with
+    B = max(lengths) + 1, built once per whole string, so one difference
+    gives both counts of a window in base B, and the distinct codes are
+    marked in a scatter over at most (n+1)*B entries.  Codes stay below N*B
+    for strings of length N; below N, B = 2**31 they cannot overflow int64.
     """
     lengths = list(lengths)
-    base = max(lengths, default=0) + 1
     if alphabet_size == 2:
-        dtype = np.uint16 if base <= 2**16 else np.int32
-        sums = [_count_prefix_sums(arr, 0, dtype) for arr in strings]
-    elif alphabet_size == 3:
-        weights = np.array([0, base, 1], dtype=np.int64)
-        sums = []
-        for arr in strings:
-            code = np.zeros(len(arr) + 1, dtype=np.int64)
-            np.cumsum(weights[arr], out=code[1:])
-            sums.append(code)
-    else:
+        yield from _zero_extrema(strings, lengths)
+        return
+    if alphabet_size != 3:
         raise ValueError("only alphabets of size 2 and 3 are supported")
-    buf = np.empty(max(len(s) for s in sums), dtype=sums[0].dtype)
+    base = max(lengths, default=0) + 1
+    weights = np.array([0, base, 1], dtype=np.int64)
+    sums = []
+    for arr in strings:
+        code = np.zeros(len(arr) + 1, dtype=np.int64)
+        np.cumsum(weights[arr], out=code[1:])
+        sums.append(code)
+    buf = np.empty(max(len(s) for s in sums), dtype=np.int64)
     for n in lengths:
-        extrema, pairs = [], set()
+        pairs, found = set(), False
         for s in sums:
             windows = len(s) - n
             if windows < 1:
                 continue
+            found = True
             d = np.subtract(s[n:], s[:windows], out=buf[:windows])
-            lo, hi = int(d.min()), int(d.max())
-            extrema.append((lo, hi))
-            if alphabet_size == 2:
-                continue
-            seen = np.zeros(hi - lo + 1, dtype=bool)
+            lo = int(d.min())
+            seen = np.zeros(int(d.max()) - lo + 1, dtype=bool)
             seen[np.subtract(d, lo, out=d)] = True
             ones, twos = np.divmod(np.flatnonzero(seen) + lo, base)
             pairs.update(zip(ones.tolist(), twos.tolist()))
-        if not extrema:
+        if not found:
             raise ValueError(f"no covering string long enough for n={n}")
-        if alphabet_size == 2:
-            yield min(lo for lo, _ in extrema), max(hi for _, hi in extrema)
-        else:
-            yield tuple(sorted(pairs))
+        yield tuple(sorted(pairs))
+
+
+def _zero_extrema(strings: list[np.ndarray], lengths: list[int]):
+    """The binary branch of _window_scan: (least, most) zero count per
+    length, over strings walked in blocks of _SCAN_BLOCK symbols."""
+    n_max = max(lengths, default=0)
+    dtype = np.uint16 if n_max < 2**16 else np.int32
+    block = _SCAN_BLOCK
+    longest = max(len(arr) for arr in strings)
+    sums = np.empty(min(longest, n_max + block) + 1, dtype=dtype)
+    buf = np.empty(min(longest, block), dtype=dtype)
+    least = [n + 1 for n in lengths]
+    most = [-1] * len(lengths)
+    for arr in strings:
+        # sums[:top] hold the prefix sums at positions origin .. origin+top-1
+        sums[0], origin, top = 0, 0, 1
+        for start in range(0, len(arr), block):
+            chunk = arr[start:start + block]
+            new = sums[top:top + len(chunk)]
+            np.cumsum(chunk == 0, dtype=dtype, out=new)
+            if start:
+                new += sums[top - 1]
+            top += len(chunk)
+            for i, n in enumerate(lengths):
+                # the windows that end in this block, at the first of which
+                # the slice begins
+                begin = max(start + 1, n) - origin
+                if begin >= top:
+                    continue
+                d = np.subtract(sums[begin:top], sums[begin - n:top - n],
+                                out=buf[:top - begin])
+                lo, hi = int(d.min()), int(d.max())
+                if lo < least[i]:
+                    least[i] = lo
+                if hi > most[i]:
+                    most[i] = hi
+            keep = min(n_max, top)
+            sums[:keep] = sums[top - keep:top]
+            origin, top = origin + top - keep, keep
+    for n, lo, hi in zip(lengths, least, most):
+        if hi < 0:
+            raise ValueError(f"no covering string long enough for n={n}")
+        yield lo, hi
 
 
 def _hull(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -449,9 +600,10 @@ def _scan_rows(g: WordGenerator, lengths: Sequence[int], src: FactorSource) -> t
     """One kernel row per window length in lengths (ascending), over the
     strings src demands."""
     k = g.alphabet_size
-    return _scan_source(g, lengths[-1], src,
-                        lambda strings: tuple(_window_scan(strings, lengths, k)),
-                        _hull if k == 2 else _union)
+    def scan(strings, scanned):
+        return tuple(_window_scan(strings, scanned, k))
+
+    return _scan_source(g, lengths, src, scan, _hull if k == 2 else _union)
 
 
 def _binary_parikhs(n: int, z_min: int, z_max: int) -> tuple[ParikhVector, ...]:

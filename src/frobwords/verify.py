@@ -134,10 +134,10 @@ def _fills_envelope(g: WordGenerator, n_max: int, src) -> bool:
     ``factors.parikh_set`` of binary words; under doubling it stabilizes on
     the marked sets themselves, merged step by step as unions."""
 
-    def scan(strings):
+    def scan(strings, lengths):
         zs = [factors._count_prefix_sums(arr, 0) for arr in strings]
         table = []
-        for n in range(1, n_max + 1):
+        for n in lengths:
             seen = np.zeros(n + 1, dtype=bool)
             for z in zs:
                 if len(z) > n:
@@ -146,7 +146,8 @@ def _fills_envelope(g: WordGenerator, n_max: int, src) -> bool:
         return tuple(table)
 
     z_min, z_max = zero_envelope_table(g, n_max, src)
-    return factors._scan_source(g, n_max, src, scan, factors._union) == tuple(
+    lengths = range(1, n_max + 1)
+    return factors._scan_source(g, lengths, src, scan, factors._union) == tuple(
         tuple(range(lo, hi + 1)) for lo, hi in zip(z_min.tolist(), z_max.tolist()))
 
 

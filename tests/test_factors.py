@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -160,9 +161,33 @@ class TestWindowKernel:
             distinct_window_counts(strings, n, k),
             distinct_window_counts(strings, 1, k)]
 
-    def test_too_short(self):
-        with pytest.raises(ValueError):
-            next(_window_scan([np.zeros(3, dtype=np.uint8)], [4], 2))
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 7),
+           st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=40),
+                    min_size=1, max_size=4),
+           st.data())
+    @example(3, [[0, 1, 1, 0, 0, 0, 1], [1, 0]], None)  # [n, 1] with n = 7
+    def test_binary_blocks_match_distinct_windows(self, block, lists, data):
+        """Blocks of 1..7 symbols: windows cross several blocks, strings
+        are shorter than some lengths, and lengths come unsorted."""
+        strings = [np.array(xs, dtype=np.uint8) for xs in lists]
+        longest = max(len(arr) for arr in strings)
+        if data is None:
+            lengths = [longest, 1]
+        else:
+            lengths = data.draw(st.lists(st.integers(1, longest), min_size=1,
+                                         max_size=6))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(factors, "_SCAN_BLOCK", block)
+            got = list(_window_scan(strings, lengths, 2))
+        assert got == [distinct_window_counts(strings, n, 2) for n in lengths]
+
+    @pytest.mark.parametrize("block", [1, 2, 2**17])
+    def test_too_short(self, monkeypatch, block):
+        monkeypatch.setattr(factors, "_SCAN_BLOCK", block)
+        for k in (2, 3):
+            with pytest.raises(ValueError):
+                next(_window_scan([np.zeros(3, dtype=np.uint8)], [4], k))
 
 
 class TestAbelianComplexity:
@@ -323,6 +348,16 @@ class ZerosThenOnes(WordGenerator):
         return int(n > 2**17)
 
 
+class OnesThenZeros(WordGenerator):
+    """40 ones, then zeros."""
+
+    def _build(self, n):
+        return (np.arange(n) < 40).astype(np.uint8)
+
+    def letter(self, n):
+        return int(n <= 40)
+
+
 STAIRCASE = verify.MaxComplexityWord()
 ZEROS = ZerosThenOnes()
 MARKED = MarkedPaperfolding()
@@ -357,6 +392,11 @@ class TestIncrementalDoubling:
     @example(PF, 150, 150, 9)
     @example(MARKED, 30, 30, 9)
     @example(STAIRCASE, 300, 300, 12)          # stops at 128 * n_max
+    # a scanned row changes mid-step, so settled rows above it are rescanned
+    @example(STAIRCASE, 30, 1, 9)
+    @example(PF, 40, 2, 9)
+    @example(PHI, 150, 1, 9)
+    @example(MARKED, 40, 1, 9)                 # ternary: no skip
     def test_equals_full_rescan(self, g, n_max, initial, doublings):
         """The answer, and the longest prefix asked for, are those of the
         loop that rescans the whole prefix at every doubling; the cap
@@ -381,10 +421,63 @@ class TestIncrementalDoubling:
     def test_fills_envelope_merges_unions(self):
         assert verify._fills_envelope(STAIRCASE, 40, StabilizedDoubling(40))
 
+    def test_length_one_is_never_skipped(self):
+        """Over a prefix of ones every row is (0, 0) and every row n >= 2
+        is at its split bounds; only the scan of length 1 sees the first
+        zero, and its change sends every longer length to the rescan."""
+        g = OnesThenZeros()
+        src = StabilizedDoubling(initial_length=32, max_length=2**10)
+        with mock.patch.object(factors, "_window_scan",
+                               wraps=factors._window_scan) as kernel:
+            got = [a.tolist() for a in _scan_envelope_table(g, 5, src)]
+        assert got == [a.tolist() for a in _scan_envelope_table(
+            g, 5, ExplicitPrefix(128))]
+        assert [list(c.args[1]) for c in kernel.call_args_list] == [
+            [1, 2, 3, 4, 5],    # the prefix of 32, only ones
+            [1], [2, 3, 4, 5],  # the tail to 64 holds the first zero
+            [1]]                # to 128, where nothing changes
+
+    def test_stabilizing_step_skips_settled_lengths(self):
+        """The pf table to 1025 stabilizes in one doubling, and that step
+        scans at most a quarter of the lengths; fib and phi skip too."""
+        src = StabilizedDoubling(max_length=2**22)
+        for g, n_max, most in ((PaperfoldingWord(), 1025, 256),
+                               (FIB, 1025, 64), (PHI, 1025, 256)):
+            with mock.patch.object(factors, "_window_scan",
+                                   wraps=factors._window_scan) as kernel:
+                _scan_envelope_table(g, n_max, src)
+            scanned = [len(c.args[1]) for c in kernel.call_args_list]
+            assert scanned[0] == n_max and scanned[-1] <= most, scanned
+
+
+class TestSplitBounds:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 50)),
+                    min_size=1, max_size=80))
+    def test_matches_all_splits(self, rows):
+        z_min, z_max = (np.array(col, dtype=np.int32) for col in zip(*rows))
+        lo, hi = factors._split_bounds(z_min, z_max)
+        for n in range(2, len(rows) + 1):
+            splits = range(1, n)
+            assert lo[n - 1] == max(z_min[a - 1] + z_min[n - a - 1] for a in splits)
+            assert hi[n - 1] == min(z_max[a - 1] + z_max[n - a - 1] for a in splits)
+        # length 1 has no split: its bounds meet no row
+        assert (lo[0], hi[0]) == (-factors._NONE, factors._NONE)
+
+    def test_small_blocks(self, monkeypatch):
+        z_min, z_max = _paperfolding_envelopes(300)
+        want = [b.tolist() for b in factors._split_bounds(z_min, z_max)]
+        monkeypatch.setattr(factors, "_SCAN_BLOCK", 7)
+        assert [b.tolist() for b in factors._split_bounds(z_min, z_max)] == want
+
 
 class TestBinaryKernelWidth:
+    # 2**17: the prefix of 2**18 is two blocks; 40,000: windows longer than
+    # a block, so the n_max sums carried between blocks span several
+    @pytest.mark.parametrize("block", [2**17, 40_000])
     @pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1])
-    def test_uint16_switch_matches_int64(self, n):
+    def test_uint16_switch_matches_int64(self, monkeypatch, n, block):
+        monkeypatch.setattr(factors, "_SCAN_BLOCK", block)
         for g in (PF, ZEROS):
             prefix = g.prefix_array(2**18)
             sums = np.zeros(len(prefix) + 1, dtype=np.int64)
@@ -392,6 +485,20 @@ class TestBinaryKernelWidth:
             zeros = sums[n:] - sums[:-n]
             want = ZeroEnvelope(n, int(zeros.min()), int(zeros.max()))
             assert zero_envelope(g, n, ExplicitPrefix(2**18)) == want
+
+    def test_doubling_scan_holds_no_full_length_buffer(self):
+        """With the pf prefix already built to 2**21, the doubling scan at
+        2**14 walks 2**20 symbols at a time but holds only the block's sums
+        and buffers, about 0.9 MiB; full-length buffers would take 5 MiB."""
+        g = PaperfoldingWord()
+        g.prefix_array(2**21)
+        tracemalloc.start()
+        try:
+            parikh_set(g, 2**14, StabilizedDoubling(max_length=2**22))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
 
 def _counted_builder(monkeypatch, name):
