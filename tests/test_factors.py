@@ -182,12 +182,12 @@ class TestWindowKernel:
             got = list(_window_scan(strings, lengths, 2))
         assert got == [distinct_window_counts(strings, n, 2) for n in lengths]
 
-    @pytest.mark.parametrize("block", [1, 2, 2**17])
-    def test_too_short(self, monkeypatch, block):
-        monkeypatch.setattr(factors, "_SCAN_BLOCK", block)
-        for k in (2, 3):
-            with pytest.raises(ValueError):
-                next(_window_scan([np.zeros(3, dtype=np.uint8)], [4], k))
+    def test_too_short(self, monkeypatch):
+        for block in (1, 2, 2**17):
+            monkeypatch.setattr(factors, "_SCAN_BLOCK", block)
+            for k in (2, 3):
+                with pytest.raises(ValueError):
+                    next(_window_scan([np.zeros(3, dtype=np.uint8)], [4], k))
 
 
 class TestAbelianComplexity:
@@ -472,19 +472,19 @@ class TestSplitBounds:
 
 
 class TestBinaryKernelWidth:
-    # 2**17: the prefix of 2**18 is two blocks; 40,000: windows longer than
-    # a block, so the n_max sums carried between blocks span several
-    @pytest.mark.parametrize("block", [2**17, 40_000])
     @pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1])
-    def test_uint16_switch_matches_int64(self, monkeypatch, n, block):
-        monkeypatch.setattr(factors, "_SCAN_BLOCK", block)
+    def test_uint16_switch_matches_int64(self, monkeypatch, n):
         for g in (PF, ZEROS):
             prefix = g.prefix_array(2**18)
             sums = np.zeros(len(prefix) + 1, dtype=np.int64)
             np.cumsum(prefix == 0, out=sums[1:])
             zeros = sums[n:] - sums[:-n]
             want = ZeroEnvelope(n, int(zeros.min()), int(zeros.max()))
-            assert zero_envelope(g, n, ExplicitPrefix(2**18)) == want
+            # 2**17: the prefix is two blocks; 40,000: windows longer than
+            # a block, so the n_max sums carried between blocks span several
+            for block in (2**17, 40_000):
+                monkeypatch.setattr(factors, "_SCAN_BLOCK", block)
+                assert zero_envelope(g, n, ExplicitPrefix(2**18)) == want
 
     def test_doubling_scan_holds_no_full_length_buffer(self):
         """With the pf prefix already built to 2**21, the doubling scan at
