@@ -57,23 +57,25 @@ two lengths per level down to the base case in plain ints
 (``_desubstitution_envelope``).
 
 Every scan is one window kernel, ``_window_scan``: prefix sums, then one
-subtraction per window length.  It yields the zero-count extrema of a
-binary word and the distinct (ones, twos) pairs of a ternary one.  Binary
-Parikh sets need no more than the extrema: moving a length-n window one
-step changes its zero count by at most 1, so the zero counts over one
-string, and over all factors of an infinite word, fill the interval
-between them.  A source either scans one prefix or, as a morphic cover,
-sees exactly the factors, so the Parikh set at n is the zero envelope at
-n, and a table of them is unchanged across a doubling exactly when the
-envelope table is.  Nothing here depends on floating point.
+subtraction per window length, handed to one of two folds.  The binary fold
+keeps the zero-count extrema, the ternary one the distinct (ones, twos)
+pairs.  Binary Parikh sets need no more than the extrema: moving a length-n
+window one step changes its zero count by at most 1, so the zero counts
+over one string, and over all factors of an infinite word, fill the
+interval between them.  A source either scans one prefix or, as a morphic
+cover, sees exactly the factors, so the Parikh set at n is the zero
+envelope at n, and a table of them is unchanged across a doubling exactly
+when the envelope table is.  Nothing here depends on floating point.
 
-The binary kernel walks each string in blocks of _SCAN_BLOCK symbols.  A
-window of length n <= n_max that ends in a block reads the sums of that
-block and the n_max sums before it, so the kernel carries only those into
-the next block: a scan holds O(n_max + _SCAN_BLOCK) sums, not a
+The kernel walks each string, of either alphabet, in blocks of _SCAN_BLOCK
+symbols.  A window of length n <= n_max that ends in a block reads the sums
+of that block and the n_max sums before it, so the walk carries only those
+into the next block: a scan holds O(n_max + _SCAN_BLOCK) sums, not a
 full-length sums array and its temporaries, and a string that fits in one
 block is one pass.  Window lengths stay the inner loop of each block, one
-subtraction each.
+subtraction and one fold each.  Which sums the walk builds, zero counts or
+ternary codes, is chosen once per call, so the walk itself does not depend
+on the alphabet.
 
 A doubling step scans only the new half and the n_max - 1 symbols before
 it.  Going from a prefix of length L to 2L, the only new windows of length
@@ -96,7 +98,7 @@ always among them, and if one of their rows changed, rescans the skipped
 lengths above the least that did (``_hull_step``).  The result, the stop
 length and the cap error are still those of a full rescan.
 
-The binary kernel keeps its prefix sums in wrapping uint16 while every
+The kernel keeps binary prefix sums in wrapping uint16 while every
 window length is below 2**16, block by block: the carried sums and the
 block's sums continue one running count modulo 2**16, a difference of two
 sums is the true zero count modulo 2**16, and that count lies in [0, n]
@@ -107,7 +109,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -265,8 +267,6 @@ _COVER_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _ENVELOPE_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _DESUBSTITUTION_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-R = TypeVar("R")
-
 
 def default_source(g: WordGenerator, n: int) -> FactorSource:
     """The source a command should use when the caller does not care.
@@ -341,55 +341,51 @@ def _morphic_cover_strings(g: MorphicFixedPoint, power: int) -> list[np.ndarray]
     return strings
 
 
-def _scan_source(
-    g: WordGenerator,
-    lengths: Sequence[int],
-    src: FactorSource,
-    scan: Callable[[list[np.ndarray], Sequence[int]], tuple],
-    merge: Callable[[R, R], R],
-) -> tuple:
-    """Run a scan function over the covering strings demanded by src.
+def _scan_source(g: WordGenerator, lengths: Sequence[int], src: FactorSource) -> tuple:
+    """One kernel row per window length in lengths (distinct, ascending),
+    over the covering strings demanded by src.
 
-    ``lengths`` are distinct window lengths in ascending order, and
-    ``scan(strings, lengths)`` returns one row per length over those
-    strings; ``merge`` joins two rows of one length into the row of the
-    union of their windows (``_hull`` for zero-count extrema, ``_union``
-    for sorted sets).  Under StabilizedDoubling each step from length L to
-    2L scans only prefix[L - n_max + 1 : 2L], the windows that end in the
-    new half, and merges it row by row into the previous result, which
-    makes it the scan of the whole 2L prefix.  For a binary table, lengths
-    1..n_max merged by ``_hull``, the step skips the lengths sub-additivity
+    Under StabilizedDoubling each step from length L to 2L scans only
+    prefix[L - n_max + 1 : 2L], the windows that end in the new half, and
+    merges it row by row into the previous result, which makes it the scan
+    of the whole 2L prefix: ``_hull`` joins the zero-count extrema of a
+    binary word, ``_union`` the sorted pairs of a ternary one.  For a binary
+    table, lengths 1..n_max, the step skips the lengths sub-additivity
     already fixes (``_hull_step``).  The result is accepted once a doubling
     leaves it unchanged, and StabilizationError is raised if the cap comes
     first.
     """
-    n_max = lengths[-1]
-    if n_max < 1:
+    if not lengths or lengths[0] < 1:
         raise ValueError("window length must be >= 1")
+    k, n_max = g.alphabet_size, lengths[-1]
+
+    def scan(strings):
+        return tuple(_window_scan(strings, lengths, k))
+
     if isinstance(src, ExplicitPrefix):
         if src.length < n_max:
             raise ValueError("explicit prefix shorter than the window")
-        return scan([g.prefix_array(src.length)], lengths)
+        return scan([g.prefix_array(src.length)])
     if isinstance(src, MorphicCover):
         _require_cover(g, n_max, src)
-        return scan(_morphic_cover_strings(g, src.power), lengths)
+        return scan(_morphic_cover_strings(g, src.power))
     if isinstance(src, StabilizedDoubling):
-        length = src.initial_length if src.initial_length else 64 * n_max
-        length = max(length, n_max)
+        length = max(src.initial_length or 64 * n_max, n_max)
         if 2 * length > src.max_length:
             raise StabilizationError(
                 f"initial length {length} leaves no doubling below the cap "
                 f"{src.max_length}"
             )
-        binary_table = merge is _hull and len(lengths) == n_max
-        previous = scan([g.prefix_array(length)], lengths)
+        binary_table = k == 2 and len(lengths) == n_max
+        merge = _hull if k == 2 else _union
+        previous = scan([g.prefix_array(length)])
         while 2 * length <= src.max_length:
             tail = g.prefix_array(2 * length)[length - n_max + 1:]
             length *= 2
             if binary_table:
-                current = _hull_step(previous, tail, scan)
+                current = _hull_step(previous, tail)
             else:
-                current = tuple(map(merge, previous, scan([tail], lengths)))
+                current = tuple(map(merge, previous, scan([tail])))
             if current == previous:
                 return current
             previous = current
@@ -435,7 +431,7 @@ def _split_bounds(
     return bounds[0], bounds[1]
 
 
-def _hull_step(previous: tuple, tail: np.ndarray, scan) -> tuple:
+def _hull_step(previous: tuple, tail: np.ndarray) -> tuple:
     """The binary table for lengths 1..n_max over the prefix that ends with
     tail, from ``previous``, the table over the prefix before tail; tail
     starts n_max - 1 symbols before the new part.
@@ -461,12 +457,12 @@ def _hull_step(previous: tuple, tail: np.ndarray, scan) -> tuple:
     settled = ((z_min == lo_bound) & (z_max == hi_bound)).tolist()
     current = list(previous)
     todo = [n for n in range(1, n_max + 1) if not settled[n - 1]]
-    for n, row in zip(todo, scan([tail], todo)):
+    for n, row in zip(todo, _window_scan([tail], todo, 2)):
         current[n - 1] = _hull(previous[n - 1], row)
     changed = next((n for n in todo if current[n - 1] != previous[n - 1]), n_max)
     rest = [n for n in range(changed + 1, n_max + 1) if settled[n - 1]]
     if rest:
-        for n, row in zip(rest, scan([tail], rest)):
+        for n, row in zip(rest, _window_scan([tail], rest, 2)):
             current[n - 1] = _hull(previous[n - 1], row)
     return tuple(current)
 
@@ -475,17 +471,11 @@ def _hull_step(previous: tuple, tail: np.ndarray, scan) -> tuple:
 # Window scans (numpy kernels)
 # ---------------------------------------------------------------------------
 
-#: Symbols per block of the binary window kernel, so a scan holds
-#: O(n_max + block) sums however long its strings are.  parikh_set(pf, 2^k)
-#: for k = 1..14 under doubling took 16-17 ms at blocks of 2^16 to 2^18,
-#: 21 ms at 2^14 and 24 ms in one full-length pass (2 cores, numpy 2.4).
+#: Symbols per block of the window kernel, so a scan holds O(n_max + block)
+#: sums however long its strings are.  parikh_set(pf, 2^k) for k = 1..14
+#: under doubling took 16-17 ms at blocks of 2^16 to 2^18, 21 ms at 2^14
+#: and 24 ms in one full-length pass (2 cores, numpy 2.4).
 _SCAN_BLOCK = 2**17
-
-
-def _count_prefix_sums(arr: np.ndarray, letter: int) -> np.ndarray:
-    out = np.zeros(len(arr) + 1, dtype=np.int32)
-    np.cumsum(arr == letter, out=out[1:])
-    return out
 
 
 def _window_scan(strings: list[np.ndarray], lengths: Iterable[int], alphabet_size: int):
@@ -494,73 +484,44 @@ def _window_scan(strings: list[np.ndarray], lengths: Iterable[int], alphabet_siz
     (binary), or the sorted distinct (ones, twos) count pairs over them
     (ternary).  Strings shorter than n are skipped.
 
-    A binary string is walked in blocks of _SCAN_BLOCK symbols.  The
-    prefix sums of a block continue the last n_max sums of the block before
-    it, n_max = max(lengths), which are all the sums a window ending in this
-    block reads; each length then costs one subtraction over the windows
-    that end in the block, into a reused buffer, and folds its least and
-    most into that length's running extrema.  So a scan holds
-    O(n_max + _SCAN_BLOCK) sums whatever the string length, and a string
-    that fits in one block is one pass.  Binary prefix sums wrap
-    in uint16 while every length is below 2**16 (see the module docstring),
-    else they are int32.
+    The walk takes each string in blocks of _SCAN_BLOCK symbols and carries
+    the last n_max = max(lengths) prefix sums from block to block (see the
+    module docstring).  Each length costs one subtraction per block, into a
+    reused buffer, and a fold turns its window counts into a row
+    (``_extrema``, ``_distinct_pairs``), merged into the length's row so far
+    (``_hull``, ``_union``).
 
-    A ternary prefix sum is the single code ones*B + twos with
-    B = max(lengths) + 1, built once per whole string, so one difference
-    gives both counts of a window in base B, and the distinct codes are
-    marked in a scatter over at most (n+1)*B entries.  Codes stay below N*B
-    for strings of length N; below N, B = 2**31 they cannot overflow int64.
+    The count step is chosen once per call.  A binary prefix sum counts
+    zeros, in wrapping uint16 while every length is below 2**16 (see the
+    module docstring), else in int32.  A ternary one is the int64 code
+    ones*B + twos with B = n_max + 1, so one difference gives both counts
+    of a window in base B; codes stay below N*B for strings of length N,
+    so below N, B = 2**31 they cannot overflow.
     """
     lengths = list(lengths)
-    if alphabet_size == 2:
-        yield from _zero_extrema(strings, lengths)
-        return
-    if alphabet_size != 3:
-        raise ValueError("only alphabets of size 2 and 3 are supported")
-    base = max(lengths, default=0) + 1
-    weights = np.array([0, base, 1], dtype=np.int64)
-    sums = []
-    for arr in strings:
-        code = np.zeros(len(arr) + 1, dtype=np.int64)
-        np.cumsum(weights[arr], out=code[1:])
-        sums.append(code)
-    buf = np.empty(max(len(s) for s in sums), dtype=np.int64)
-    for n in lengths:
-        pairs, found = set(), False
-        for s in sums:
-            windows = len(s) - n
-            if windows < 1:
-                continue
-            found = True
-            d = np.subtract(s[n:], s[:windows], out=buf[:windows])
-            lo = int(d.min())
-            seen = np.zeros(int(d.max()) - lo + 1, dtype=bool)
-            seen[np.subtract(d, lo, out=d)] = True
-            ones, twos = np.divmod(np.flatnonzero(seen) + lo, base)
-            pairs.update(zip(ones.tolist(), twos.tolist()))
-        if not found:
-            raise ValueError(f"no covering string long enough for n={n}")
-        yield tuple(sorted(pairs))
-
-
-def _zero_extrema(strings: list[np.ndarray], lengths: list[int]):
-    """The binary branch of _window_scan: (least, most) zero count per
-    length, over strings walked in blocks of _SCAN_BLOCK symbols."""
     n_max = max(lengths, default=0)
-    dtype = np.uint16 if n_max < 2**16 else np.int32
+    if alphabet_size == 2:
+        dtype = np.uint16 if n_max < 2**16 else np.int32
+        count, fold, merge = (lambda chunk: chunk == 0), _extrema, _hull
+    elif alphabet_size == 3:
+        dtype = np.int64
+        base = n_max + 1
+        count = np.array([0, base, 1], dtype=dtype).take
+        fold, merge = (lambda codes: _distinct_pairs(codes, base)), _union
+    else:
+        raise ValueError("only alphabets of size 2 and 3 are supported")
     block = _SCAN_BLOCK
     longest = max(len(arr) for arr in strings)
     sums = np.empty(min(longest, n_max + block) + 1, dtype=dtype)
     buf = np.empty(min(longest, block), dtype=dtype)
-    least = [n + 1 for n in lengths]
-    most = [-1] * len(lengths)
+    rows = [None] * len(lengths)
     for arr in strings:
         # sums[:top] hold the prefix sums at positions origin .. origin+top-1
         sums[0], origin, top = 0, 0, 1
         for start in range(0, len(arr), block):
             chunk = arr[start:start + block]
             new = sums[top:top + len(chunk)]
-            np.cumsum(chunk == 0, dtype=dtype, out=new)
+            np.cumsum(count(chunk), dtype=dtype, out=new)
             if start:
                 new += sums[top - 1]
             top += len(chunk)
@@ -570,20 +531,32 @@ def _zero_extrema(strings: list[np.ndarray], lengths: list[int]):
                 begin = max(start + 1, n) - origin
                 if begin >= top:
                     continue
-                d = np.subtract(sums[begin:top], sums[begin - n:top - n],
-                                out=buf[:top - begin])
-                lo, hi = int(d.min()), int(d.max())
-                if lo < least[i]:
-                    least[i] = lo
-                if hi > most[i]:
-                    most[i] = hi
+                row = fold(np.subtract(sums[begin:top], sums[begin - n:top - n],
+                                       out=buf[:top - begin]))
+                rows[i] = row if rows[i] is None else merge(rows[i], row)
             keep = min(n_max, top)
             sums[:keep] = sums[top - keep:top]
             origin, top = origin + top - keep, keep
-    for n, lo, hi in zip(lengths, least, most):
-        if hi < 0:
+    for n, row in zip(lengths, rows):
+        if row is None:
             raise ValueError(f"no covering string long enough for n={n}")
-        yield lo, hi
+        yield row
+
+
+def _extrema(zeros: np.ndarray) -> tuple[int, int]:
+    """The binary fold: (least, most) of a block's window zero counts."""
+    return int(zeros.min()), int(zeros.max())
+
+
+def _distinct_pairs(codes: np.ndarray, base: int) -> tuple:
+    """The ternary fold: the sorted distinct (ones, twos) pairs of a block's
+    window codes ones*base + twos, marked in a scatter over at most
+    (n+1)*base entries; codes is overwritten."""
+    lo = int(codes.min())
+    seen = np.zeros(int(codes.max()) - lo + 1, dtype=bool)
+    seen[np.subtract(codes, lo, out=codes)] = True
+    ones, twos = np.divmod(np.flatnonzero(seen) + lo, base)
+    return tuple(zip(ones.tolist(), twos.tolist()))
 
 
 def _hull(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -594,16 +567,6 @@ def _hull(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 def _union(a: tuple, b: tuple) -> tuple:
     """Merge of two sorted rows of distinct items."""
     return tuple(sorted(set(a).union(b)))
-
-
-def _scan_rows(g: WordGenerator, lengths: Sequence[int], src: FactorSource) -> tuple:
-    """One kernel row per window length in lengths (ascending), over the
-    strings src demands."""
-    k = g.alphabet_size
-    def scan(strings, scanned):
-        return tuple(_window_scan(strings, scanned, k))
-
-    return _scan_source(g, lengths, src, scan, _hull if k == 2 else _union)
 
 
 def _binary_parikhs(n: int, z_min: int, z_max: int) -> tuple[ParikhVector, ...]:
@@ -748,11 +711,9 @@ def parikh_set(g: WordGenerator, n: int, src: FactorSource | None = None):
     if g.alphabet_size == 2:
         env = zero_envelope(g, n, src)
         return _binary_parikhs(n, env.z_min, env.z_max)
-    if g.alphabet_size != 3:
-        raise ValueError("only alphabets of size 2 and 3 are supported")
     if isinstance(src, Certified):
         return _lifted_parikhs(n, *_certified(g, n, table=False))
-    return _ternary_parikhs(n, _scan_rows(g, [n], src)[0])
+    return _ternary_parikhs(n, _scan_source(g, [n], src)[0])
 
 
 def parikh_set_table(g: WordGenerator, n_max: int, src: FactorSource | None = None):
@@ -770,13 +731,11 @@ def parikh_set_table(g: WordGenerator, n_max: int, src: FactorSource | None = No
         z_min, z_max = zero_envelope_table(g, n_max, src)
         return [_binary_parikhs(n, lo, hi) for n, lo, hi in
                 zip(range(1, n_max + 1), z_min.tolist(), z_max.tolist())]
-    if g.alphabet_size != 3:
-        raise ValueError("only alphabets of size 2 and 3 are supported")
     if isinstance(src, Certified):
         z_min, z_max = _certified(g, n_max, table=True)
         return [_lifted_parikhs(n, lo, hi) for n, lo, hi in
                 zip(range(1, n_max + 1), z_min.tolist(), z_max.tolist())]
-    table = _scan_rows(g, range(1, n_max + 1), src)
+    table = _scan_source(g, range(1, n_max + 1), src)
     return [_ternary_parikhs(n, row) for n, row in enumerate(table, start=1)]
 
 
@@ -797,7 +756,7 @@ def zero_envelope(g: WordGenerator, n: int, src: FactorSource | None = None) -> 
         _require_cover(g, n, src)
         z_min, z_max = _desubstitution_envelope(g, n)
     else:
-        z_min, z_max = _scan_rows(g, [n], src)[0]
+        z_min, z_max = _scan_source(g, [n], src)[0]
     return ZeroEnvelope(n, z_min, z_max)
 
 
@@ -810,7 +769,7 @@ def _scan_envelope_table(
     This is the table under doubling and explicit prefixes, and the
     reference the desubstitution recursion is checked against.
     """
-    table = _scan_rows(g, range(1, n_max + 1), src)
+    table = _scan_source(g, range(1, n_max + 1), src)
     z_min, z_max = np.array(table, dtype=np.int64).T
     return z_min.copy(), z_max.copy()
 
@@ -1042,6 +1001,8 @@ def zero_envelope_table(
     """
     if g.alphabet_size != 2:
         raise ValueError("zero envelopes are defined for binary words")
+    if n_max < 1:
+        raise ValueError("window length must be >= 1")
     if src is None:
         src = default_source(g, n_max)
     key = src
@@ -1109,8 +1070,9 @@ def welldoc_check(
         raise FactorNotFoundError(
             f"{w} not found in the first {scan_limit} positions"
         )
-    sums = [_count_prefix_sums(text, letter) for letter in range(k)]
-    residues = set(zip(*[(s[hits] % modulus).tolist() for s in sums]))
+    sums = np.zeros((k, len(text) + 1), dtype=np.int32)
+    np.cumsum(text == np.arange(k)[:, None], axis=1, out=sums[:, 1:])
+    residues = set(zip(*(sums[:, hits] % modulus).tolist()))
     return WelldocReport(
         complete=len(residues) == modulus**k,
         residues_found=frozenset(residues),

@@ -17,6 +17,7 @@ import numpy as np
 from . import factors, frobenius, golden, morphic, ternary, words
 from .factors import (
     Certified,
+    ExplicitPrefix,
     MorphicCover,
     ParikhVector,
     StabilizedDoubling,
@@ -131,24 +132,37 @@ def _fills_envelope(g: WordGenerator, n_max: int, src) -> bool:
     """True if, at every length up to n_max, the zero counts found by
     marking every window of the strings src demands fill the interval of
     the envelope table.  The reference for the interval lemma behind
-    ``factors.parikh_set`` of binary words; under doubling it stabilizes on
-    the marked sets themselves, merged step by step as unions."""
+    ``factors.parikh_set`` of binary words, so it shares no scan with
+    ``factors``: it marks the prefix of an explicit prefix, the strings of
+    a morphic cover, and under doubling the whole prefix at each doubling,
+    until the marked sets stop changing."""
 
-    def scan(strings, lengths):
-        zs = [factors._count_prefix_sums(arr, 0) for arr in strings]
+    def marked(strings):
+        zs = [np.concatenate(([0], np.cumsum(arr == 0))) for arr in strings]
         table = []
-        for n in lengths:
+        for n in range(1, n_max + 1):
             seen = np.zeros(n + 1, dtype=bool)
             for z in zs:
                 if len(z) > n:
                     seen[z[n:] - z[:-n]] = True
             table.append(tuple(np.flatnonzero(seen).tolist()))
-        return tuple(table)
+        return table
 
     z_min, z_max = zero_envelope_table(g, n_max, src)
-    lengths = range(1, n_max + 1)
-    return factors._scan_source(g, lengths, src, scan, factors._union) == tuple(
-        tuple(range(lo, hi + 1)) for lo, hi in zip(z_min.tolist(), z_max.tolist()))
+    want = [tuple(range(lo, hi + 1)) for lo, hi in zip(z_min.tolist(), z_max.tolist())]
+    if isinstance(src, ExplicitPrefix):
+        return marked([g.prefix_array(src.length)]) == want
+    if isinstance(src, MorphicCover):
+        return marked(factors._morphic_cover_strings(g, src.power)) == want
+    length = max(src.initial_length or 64 * n_max, n_max)  # doubling
+    previous = marked([g.prefix_array(length)])
+    while 2 * length <= src.max_length:
+        length *= 2
+        current = marked([g.prefix_array(length)])
+        if current == previous:
+            return current == want
+        previous = current
+    return False
 
 
 def _row_parikhs(mat: np.ndarray) -> set:

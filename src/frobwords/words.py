@@ -57,15 +57,26 @@ __all__ = [
 # Largest n for which 5*n*n fits comfortably in int64 during array generation.
 _BEATTY_ARRAY_LIMIT = 1_300_000_000
 
-#: Longest prefix ``WordGenerator.prefix`` builds as a FiniteWord.  Its
-#: uint8 array and its text take one byte per symbol each; at this length
-#: `prefix --word W` peaks at 36 MiB RSS for each of pf, fib, phi and t,
-#: 6 MiB above the import.
+#: Longest prefix ``WordGenerator.prefix``, ``paperfolding_prefix``,
+#: ``fibonacci_prefix``, ``ternary_t_prefix`` and ``iterate_morphism`` build
+#: as a FiniteWord.  Its uint8 array and its text take one byte per symbol
+#: each; at this length `prefix --word W` peaks at 36 MiB RSS for each of
+#: pf, fib, phi and t, 6 MiB above the import.
 PREFIX_BUDGET = 2**20
 
 
 class ConfigurationError(ValueError):
     """A request that is structurally invalid (bad morphism seed, bad source)."""
+
+
+def _require_prefix_budget(n: int) -> None:
+    """Refuse a public prefix of more than PREFIX_BUDGET symbols before
+    anything is built.  Generators build longer prefix arrays unbudgeted,
+    for the doubling scans."""
+    if n > PREFIX_BUDGET:
+        raise ValueError(
+            f"a prefix of {n} symbols exceeds the budget "
+            f"PREFIX_BUDGET = {PREFIX_BUDGET} symbols")
 
 
 class FiniteWord:
@@ -281,6 +292,7 @@ def paperfolding_prefix(n: int, construction: str = "direct") -> FiniteWord:
     """
     if n < 1:
         raise ValueError("prefix length must be >= 1")
+    _require_prefix_budget(n)
     builders = {
         "direct": _pf_array_direct,
         "recursive": _pf_array_recursive,
@@ -383,6 +395,7 @@ def fibonacci_prefix(n: int) -> FiniteWord:
     """Length-n prefix of the Fibonacci word over {0,1}."""
     if n < 1:
         raise ValueError("prefix length must be >= 1")
+    _require_prefix_budget(n)
     return FiniteWord(_standard_words(n, swap=False), 2)
 
 
@@ -406,16 +419,23 @@ def iterate_morphism(m: Morphism, seed: int, target_length: int) -> FiniteWord:
     """
     if target_length < 1:
         raise ValueError("target_length must be >= 1")
+    _require_prefix_budget(target_length)
     _require_prolongable(m, seed)
+    return FiniteWord(_fixed_point_array(m, seed, target_length), m.alphabet_size)
+
+
+def _fixed_point_array(m: Morphism, seed: int, n: int) -> np.ndarray:
+    """The unbudgeted length-n prefix of the fixed point of m at seed, as
+    a view of the first iterate at least that long."""
     arr = np.array([seed], dtype=np.uint8)
-    while len(arr) < target_length:
+    while len(arr) < n:
         new = m.apply_array(arr)
         if len(new) <= len(arr):
             raise ConfigurationError(
                 "morphism does not grow past the seed; no infinite fixed point"
             )
         arr = new
-    return FiniteWord(arr[:target_length], m.alphabet_size)
+    return arr[:n]
 
 
 def incidence_matrix(m: Morphism) -> np.ndarray:
@@ -470,6 +490,7 @@ def ternary_t_prefix(n: int) -> FiniteWord:
     """Length-n prefix of t = every-second-zero substitution of the Fibonacci word."""
     if n < 1:
         raise ValueError("prefix length must be >= 1")
+    _require_prefix_budget(n)
     return FiniteWord(_standard_words(n, swap=True), 3)
 
 
@@ -510,10 +531,7 @@ class WordGenerator:
     def prefix(self, n: int) -> FiniteWord:
         """The length-n prefix as a FiniteWord; a ValueError names
         PREFIX_BUDGET, before anything is built, if n exceeds it."""
-        if n > PREFIX_BUDGET:
-            raise ValueError(
-                f"a prefix of {n} symbols exceeds the budget "
-                f"PREFIX_BUDGET = {PREFIX_BUDGET} symbols")
+        _require_prefix_budget(n)
         return FiniteWord(self.prefix_array(n), self.alphabet_size)
 
     def __repr__(self) -> str:
@@ -557,7 +575,8 @@ class MorphicFixedPoint(WordGenerator):
         self.alphabet_size = morphism.alphabet_size
 
     def _build(self, n):
-        return iterate_morphism(self.morphism, self.seed, n).array
+        # a copy, so the longer last iterate is freed
+        return _fixed_point_array(self.morphism, self.seed, n).copy()
 
     def letter(self, n):
         if n < 1:

@@ -130,6 +130,21 @@ class TestParikhSet:
         for n in (1, 7, 23, 40):
             assert table[n - 1] == parikh_set(T, n)
 
+    @pytest.mark.parametrize("src", [None, StabilizedDoubling()],
+                             ids=["default", "doubling"])
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("name", ["pf", "fib", "phi", "t"])
+    def test_window_length_below_one(self, name, n, src):
+        """Refused before the envelope cache, whose empty entry would pass
+        for a table of length 0, and before a scan reads the longest length."""
+        g = WORDS[name]
+        calls = [parikh_set, parikh_set_table]
+        if g.alphabet_size == 2:
+            calls += [zero_envelope, zero_envelope_table]
+        for call in calls:
+            with pytest.raises(ValueError, match="window length must be >= 1"):
+                call(g, n, src)
+
 
 def distinct_window_counts(strings, n, k):
     """Brute force: the distinct length-n windows, reduced to zero-count
@@ -163,13 +178,18 @@ class TestWindowKernel:
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 7),
-           st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=40),
-                    min_size=1, max_size=4),
+           st.integers(2, 3).flatmap(lambda k: st.tuples(st.just(k), st.lists(
+               st.lists(st.integers(0, k - 1), min_size=1, max_size=40),
+               min_size=1, max_size=4))),
            st.data())
-    @example(3, [[0, 1, 1, 0, 0, 0, 1], [1, 0]], None)  # [n, 1] with n = 7
-    def test_binary_blocks_match_distinct_windows(self, block, lists, data):
-        """Blocks of 1..7 symbols: windows cross several blocks, strings
-        are shorter than some lengths, and lengths come unsorted."""
+    # lengths [n, 1] with n = 7, over each alphabet
+    @example(3, (2, [[0, 1, 1, 0, 0, 0, 1], [1, 0]]), None)
+    @example(3, (3, [[0, 2, 1, 0, 2, 2, 1], [1, 2]]), None)
+    def test_binary_blocks_match_distinct_windows(self, block, words, data):
+        """Blocks of 1..7 symbols, over two letters or three: windows cross
+        several blocks, strings are shorter than some lengths, and lengths
+        come unsorted."""
+        k, lists = words
         strings = [np.array(xs, dtype=np.uint8) for xs in lists]
         longest = max(len(arr) for arr in strings)
         if data is None:
@@ -179,8 +199,8 @@ class TestWindowKernel:
                                          max_size=6))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(factors, "_SCAN_BLOCK", block)
-            got = list(_window_scan(strings, lengths, 2))
-        assert got == [distinct_window_counts(strings, n, 2) for n in lengths]
+            got = list(_window_scan(strings, lengths, k))
+        assert got == [distinct_window_counts(strings, n, k) for n in lengths]
 
     def test_too_short(self, monkeypatch):
         for block in (1, 2, 2**17):
@@ -418,8 +438,20 @@ class TestIncrementalDoubling:
             assert got == answer(ExplicitPrefix(stop))
             assert max(c.args[0] for c in prefix_array.call_args_list) == stop
 
-    def test_fills_envelope_merges_unions(self):
-        assert verify._fills_envelope(STAIRCASE, 40, StabilizedDoubling(40))
+    def test_fills_envelope_scans_on_its_own(self, monkeypatch):
+        """The oracle rescans whole prefixes itself under doubling; with
+        the envelope table cached it never reaches the scan it checks."""
+        src = StabilizedDoubling(40)
+        for cached in (src, ExplicitPrefix(4000)):
+            zero_envelope_table(STAIRCASE, 40, cached)
+
+        def no_scan(*args):
+            raise AssertionError("the oracle reached the factors scan")
+
+        monkeypatch.setattr(factors, "_window_scan", no_scan)
+        monkeypatch.setattr(factors, "_scan_source", no_scan)
+        assert verify._fills_envelope(STAIRCASE, 40, src)
+        assert verify._fills_envelope(STAIRCASE, 40, ExplicitPrefix(4000))
 
     def test_length_one_is_never_skipped(self):
         """Over a prefix of ones every row is (0, 0) and every row n >= 2

@@ -19,6 +19,7 @@ from frobwords.words import (
     MorphicFixedPoint,
     Morphism,
     PHI_MORPHISM,
+    PREFIX_BUDGET,
     PaperfoldingWord,
     TernaryBalancedWord,
     WORDS,
@@ -383,3 +384,20 @@ class TestGeneratorPrefixes:
             assert tracemalloc.get_traced_memory()[1] < limit * 2**20
         finally:
             tracemalloc.stop()
+
+    @pytest.mark.parametrize("build", [
+        paperfolding_prefix, fibonacci_prefix, ternary_t_prefix,
+        lambda n: iterate_morphism(PHI_MORPHISM, 0, n),
+    ], ids=["pf", "fib", "t", "phi"])
+    def test_public_builders_within_budget(self, build):
+        """The public builders stop at PREFIX_BUDGET, with the message of
+        WordGenerator.prefix, before anything is built; the generators'
+        own builds, which doubling reads, have no budget."""
+        assert len(build(PREFIX_BUDGET)) == PREFIX_BUDGET
+        with pytest.raises(ValueError) as refused:
+            build(PREFIX_BUDGET + 1)
+        with pytest.raises(ValueError) as prefix_refused:
+            WORDS["pf"].prefix(PREFIX_BUDGET + 1)
+        assert str(refused.value) == str(prefix_refused.value)
+        assert "PREFIX_BUDGET" in str(refused.value)
+        assert len(MorphicFixedPoint()._build(PREFIX_BUDGET + 1)) == PREFIX_BUDGET + 1
