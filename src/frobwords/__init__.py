@@ -108,14 +108,14 @@ __version__ = "0.1.0"
 def clear_caches() -> None:
     """Empty every per-process cache, so the next call rebuilds: the cover
     strings, envelope tables and desubstitution constants of factors, the
-    complement memo of frobenius, and the triples, decisions and Fibonacci
-    factor tables of ternary.  Each generator's own grow-only prefix buffer
-    is kept."""
+    complement memo of frobenius, and the triple memo, decisions and
+    Fibonacci factor tables of ternary.  Each generator's own grow-only
+    prefix buffer is kept."""
     factors._COVER_CACHE.clear()
     factors._ENVELOPE_CACHE.clear()
     factors._DESUBSTITUTION_CACHE.clear()
     frobenius._COMPLEMENT_MEMO.clear()
-    ternary._triple_of.cache_clear()
+    ternary._TRIPLES.clear()
     ternary._decide.cache_clear()
     ternary.enumerate_fib_factors.cache_clear()
     ternary._fib_table = (None, [])

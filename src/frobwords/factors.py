@@ -687,9 +687,13 @@ def _certified(g: WordGenerator, n: int, table: bool):
 
 def _lifted_parikhs(n: int, z_min: int, z_max: int) -> tuple[ParikhVector, ...]:
     """The Parikh set of t at n from the fib envelope: each zero count z
-    lifts to z - z//2 zeros and z//2 twos, or the reverse."""
+    lifts to z - z//2 zeros and z//2 twos, or the reverse.  As in
+    _binary_parikhs, the range is checked once instead of per vector."""
+    if not (0 <= z_min <= n and 0 <= z_max <= n):
+        raise ValueError("counts must be nonnegative")
+    new = tuple.__new__
     return tuple(sorted({
-        ParikhVector(v)
+        new(ParikhVector, v)
         for z in (z_min, z_max)
         for v in ((z - z // 2, n - z, z // 2), (z // 2, n - z, z - z // 2))
     }))

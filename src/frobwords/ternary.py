@@ -150,10 +150,10 @@ class Half:
 
 @dataclass(frozen=True)
 class _Triple:
-    """A validated triple, built once per Weights (_triple), with the
-    doubled F steps on a Fibonacci 0 and 1 (S0+S2, 2 S1), the doubled
-    offsets o1..o3, e1..e3 and their largest magnitude k, and the window
-    length l."""
+    """A validated triple, built once per weights and memoised in _TRIPLES
+    (see _triple), with the doubled F steps on a Fibonacci 0 and 1
+    (S0+S2, 2 S1), the doubled offsets o1..o3, e1..e3 and their largest
+    magnitude k, and the window length l."""
 
     weights: Weights
     steps: tuple
@@ -163,12 +163,27 @@ class _Triple:
     l: int
 
 
+# Validated triples, keyed by their Weights.  A plain tuple equals its
+# Weights and hashes alike, so it may answer from here, but only when its
+# entries are exact ints: (1.0, 2, 3) == (1, 2, 3), and it must still
+# raise in Weights.
+_TRIPLES: dict = {}
+
+
 def _triple(s) -> _Triple:
-    return _triple_of(Weights(s))
+    if type(s) is Weights or (type(s) is tuple and len(s) == 3
+                              and type(s[0]) is type(s[1]) is type(s[2]) is int):
+        t = _TRIPLES.get(s)
+        if t is not None:
+            return t
+    s = Weights(s)
+    t = _TRIPLES.get(s)
+    if t is None:
+        t = _TRIPLES[s] = _new_triple(s)
+    return t
 
 
-@lru_cache(maxsize=None)
-def _triple_of(s: Weights) -> _Triple:
+def _new_triple(s: Weights) -> _Triple:
     if len(s) != 3:
         raise ValueError("ternary machinery needs exactly three weights")
     s0, s1, s2 = s
@@ -211,9 +226,12 @@ def offsets(s) -> OffsetTable:
     return OffsetTable(*(Half(x) for x in t.odd + t.even + (t.k,)))
 
 
-def _main_twice(n: int, t: _Triple) -> int:
+def _main_twice(n: int, t: _Triple, phi_n: int | None = None) -> int:
+    # phi_n is floor(n phi) when the caller already has it.
     a, b = t.steps
-    return floor_phi(n) * (a - b) - n * (a - 2 * b)
+    if phi_n is None:
+        phi_n = floor_phi(n)
+    return phi_n * (a - b) - n * (a - 2 * b)
 
 
 def main_term(n: int, s) -> Half:
@@ -292,8 +310,10 @@ def generating_prefix_parikh(n: int, variant: str) -> ParikhVector:
 
 
 def _values(n: int, t: _Triple) -> set:
-    # The (at most three) integer values at length n, from doubled sums.
-    m, p = _main_twice(n, t), mu(n)
+    # The (at most three) integer values at length n, from doubled sums;
+    # mu(n) = (floor(n phi) - n) mod 2, so one floor serves m(n) and mu(n).
+    phi_n = floor_phi(n)
+    m, p = _main_twice(n, t, phi_n), (phi_n - n) % 2
     (_, o2, o3), (e1, e2, _) = t.odd, t.even
     out = set()
     for g in (m + e1 + o3 * p, m + e2 + (o2 - e2) * p, m + o3 * p):
@@ -415,10 +435,16 @@ def _fib_factor_starts(n_max: int) -> tuple:
     n_max, the ascending 0-based starts of the first occurrences of its n+1
     factors (the factor at start i is text[i:i+n]).
 
-    The length-n window at j has as id the first position of its factor; the
-    length-(n+1) id at j is the first occurrence of the pair (that id, x[j+n])
-    in one 1-D unique over the code 2*id + letter.  Finding exactly n+1 ids
-    certifies the prefix; fewer double it from 32*n_max.
+    The length-n window at j has as id the first position p of its factor.
+    Growing it by x[j+n], it keeps p when that letter is x[p+n], the letter
+    after the first occurrence, since no earlier window holds even the
+    shorter factor.  Only the windows whose letter differs move: in a
+    Sturmian word those of the one right-special factor.  They are grouped
+    by (p, letter) in a 1-D unique, and each group's first window is its
+    new id.  The last length-n window drops out of the longer windows; it
+    takes a factor with it when it is that factor's first occurrence.
+    Finding exactly n+1 ids certifies the prefix; fewer double it from
+    32*n_max.
     """
     if n_max < 1:
         raise ValueError("factor length must be >= 1")
@@ -429,14 +455,21 @@ def _fib_factor_starts(n_max: int) -> tuple:
     scan = 32 * n_max
     while True:
         text = WORDS["fib"].prefix_array(scan)
-        ids, starts = np.zeros(scan + 1, dtype=np.int64), []  # empty windows
+        ids = np.zeros(scan + 1, dtype=np.intp)  # the empty windows
+        first, starts = np.zeros(1, dtype=np.intp), []
         for n in range(1, n_max + 1):
-            _, first, inverse = np.unique(2 * ids[: scan - n + 1] + text[n - 1 :],
+            lost = int(ids[scan - n + 1] == scan - n + 1)
+            ids = ids[: scan - n + 1]
+            letters = text[n - 1 :]
+            moved = np.flatnonzero(text[ids + (n - 1)] != letters)
+            _, group, inverse = np.unique(2 * ids[moved] + letters[moved],
                                           return_index=True, return_inverse=True)
+            ids[moved] = moved[group][inverse]
+            first = np.sort(np.concatenate((first[: len(first) - lost],
+                                            moved[group])))
             if len(first) != n + 1:
                 break
-            ids = first[inverse]
-            starts.append(np.sort(first))
+            starts.append(first)
         else:
             return text, starts
         if len(first) > n + 1 or scan >= FACTOR_BUDGET:

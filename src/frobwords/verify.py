@@ -165,9 +165,12 @@ def _fills_envelope(g: WordGenerator, n_max: int, src) -> bool:
     return False
 
 
-def _row_parikhs(mat: np.ndarray) -> set:
-    counts = np.stack([(mat == letter).sum(axis=1) for letter in range(3)], axis=1)
-    return {ParikhVector(row) for row in counts.tolist()}
+def _row_codes(mat: np.ndarray) -> np.ndarray:
+    """The distinct codes ones*(n+1) + twos of the rows of a ternary matrix
+    of row length n; with the zeros n - ones - twos, a code is one Parikh
+    vector."""
+    n = mat.shape[1]
+    return np.unique((mat == 1).sum(axis=1) * (n + 1) + (mat == 2).sum(axis=1))
 
 
 def _s_of_array(arr: np.ndarray, s: Weights) -> int:
@@ -423,12 +426,13 @@ def _ternary_checks(quick: bool) -> list[CheckResult]:
     text, fib_starts = ternary._fib_factor_starts(n_ll)
     ok_lemma_l = True
     for n, starts in enumerate(fib_starts, start=1):
-        t_set = set(t_table[n - 1])
+        row = t_table[n - 1]
         mat = text[starts[:, None] + np.arange(n)]
-        images = _row_parikhs(
-            words._replace_alternate_zeros_array(mat, "second")) | _row_parikhs(
-            words._replace_alternate_zeros_array(mat, "first"))
-        ok_lemma_l &= t_set == images
+        images = np.union1d(
+            _row_codes(words._replace_alternate_zeros_array(mat, "second")),
+            _row_codes(words._replace_alternate_zeros_array(mat, "first")))
+        ok_lemma_l &= (all(sum(v) == n for v in row)
+                       and {v[1] * (n + 1) + v[2] for v in row} == set(images.tolist()))
     out.append(CheckResult(
         "ternary",
         f"ternary factors = both substitutions of Fibonacci factors to {n_ll}",

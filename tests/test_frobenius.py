@@ -315,7 +315,7 @@ class TestValueMaskBudget:
 
 class TestClearCaches:
     def test_next_call_rebuilds(self, monkeypatch):
-        builds = {"envelope": 0, "mask": 0, "fib": 0}
+        builds = {"envelope": 0, "mask": 0, "fib": 0, "triple": 0}
 
         def counted(name, module, attr):
             fn = getattr(module, attr)
@@ -329,22 +329,24 @@ class TestClearCaches:
         counted("envelope", factors, "_desubstitution_envelopes")
         counted("mask", frobenius, "_value_mask")
         counted("fib", ternary, "_fib_factor_starts")
+        counted("triple", ternary, "_new_triple")
 
         def requests():
             complement_below(PHI, Weights((3, 4)), 100, 200, MorphicCover(4))
             decide_cofinite((1, 2, 3))
-            return (dict(builds), ternary._triple_of.cache_info().misses,
-                    ternary._decide.cache_info().misses)
+            return dict(builds), ternary._decide.cache_info().misses
 
         frobwords.clear_caches()
-        # one build of each, one miss of each lru_cache (cleared with it)
-        assert requests() == ({name: 1 for name in builds}, 1, 1)
-        assert requests() == ({name: 1 for name in builds}, 1, 1)  # lookups
+        # one build of each, one miss of the lru_cache (cleared with it)
+        assert requests() == ({name: 1 for name in builds}, 1)
+        assert requests() == ({name: 1 for name in builds}, 1)  # lookups
+        assert list(ternary._TRIPLES) == [(1, 2, 3)]
         frobwords.clear_caches()
         assert not factors._ENVELOPE_CACHE and not factors._COVER_CACHE
         assert not frobenius._COMPLEMENT_MEMO
+        assert not ternary._TRIPLES
         assert ternary._fib_table == (None, [])
-        assert requests() == ({name: 2 for name in builds}, 1, 1)
+        assert requests() == ({name: 2 for name in builds}, 1)
 
 
 class TestPaperfoldingWitnesses:

@@ -415,6 +415,100 @@ class TestIntegerKernels:
             enumerate_fib_factors.cache_clear()
 
 
+# The per-length sort the first-occurrence refinement replaced, kept as the
+# reference: one 1-D unique over the code 2*id + letter of every window.
+def ref_fib_factor_starts(n_max):
+    scan = 32 * n_max
+    while True:
+        text = ternary.WORDS["fib"].prefix_array(scan)
+        ids, starts = np.zeros(scan + 1, dtype=np.int64), []
+        for n in range(1, n_max + 1):
+            _, first, inverse = np.unique(2 * ids[: scan - n + 1] + text[n - 1 :],
+                                          return_index=True, return_inverse=True)
+            if len(first) != n + 1:
+                break
+            ids = first[inverse]
+            starts.append(np.sort(first))
+        else:
+            return text, starts
+        if len(first) > n + 1 or scan >= ternary.FACTOR_BUDGET:
+            raise RuntimeError(f"{len(first)} distinct factors of length {n}")
+        scan *= 2
+
+
+class _StandardSturmian:
+    """The characteristic Sturmian word with every partial quotient q:
+    s_0 = 0, s_1 = 0^(q-1) 1, s_(k+1) = s_k^q s_(k-1).  Its first 1 is at
+    index q - 1, the last symbol of a q-symbol prefix."""
+
+    def __init__(self, q):
+        self.q = q
+
+    def prefix_array(self, n):
+        prev, word = [0], [0] * (self.q - 1) + [1]
+        while len(word) < n:
+            prev, word = word, word * self.q + prev
+        return np.array(word[:n], dtype=np.uint8)
+
+
+class TestFactorRefinement:
+    def assert_same(self, n_max):
+        text, starts = ternary._fib_factor_starts(n_max)
+        ref_text, ref_starts = ref_fib_factor_starts(n_max)
+        assert text.tobytes() == ref_text.tobytes()
+        assert len(starts) == len(ref_starts) == n_max
+        for got, want in zip(starts, ref_starts):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        return text
+
+    def test_equals_unique_reference(self):
+        for n_max in [*range(1, 65), 500]:
+            self.assert_same(n_max)
+
+    def test_doubles_a_short_scan(self, monkeypatch):
+        monkeypatch.setattr(ternary, "WORDS", {"fib": _StandardSturmian(40)})
+        # 0^40 first ends at index 1599, past 32 * 40
+        for n_max, scan in ((1, 64), (2, 64), (39, 1248), (40, 2560), (41, 2624)):
+            assert len(self.assert_same(n_max)) == scan
+        # In the first 64 symbols 0^63 1, the length-1 window of the only 1
+        # is the last one, and the factor 1 drops out at length 2.
+        monkeypatch.setattr(ternary, "WORDS", {"fib": _StandardSturmian(64)})
+        assert len(self.assert_same(2)) == 128
+
+    def test_non_sturmian_text_raises(self, monkeypatch):
+        monkeypatch.setattr(ternary, "WORDS", {"fib": WORDS["pf"]})
+        with pytest.raises(RuntimeError, match="Sturmian complexity is exactly 3"):
+            ternary._fib_factor_starts(5)
+        with pytest.raises(RuntimeError):
+            ref_fib_factor_starts(5)
+
+
+class TestTripleMemo:
+    def test_memo_keeps_validation(self):
+        assert (1.0, 2, 3) == (1, 2, 3) and hash((1.0, 2, 3)) == hash((1, 2, 3))
+        decision = decide_cofinite((1, 2, 3))
+        values = [g_values(n, (1, 2, 3)) for n in range(1, 40)]
+        assert (1, 2, 3) in ternary._TRIPLES
+        for call in (lambda s: g_values(7, s), lambda s: main_term(7, s),
+                     decide_cofinite):
+            with pytest.raises(ValueError, match="positive integers"):
+                call((1.0, 2, 3))
+        for s in ([1, 2, 3], (np.int64(1), np.int64(2), np.int64(3)),
+                  np.array([1, 2, 3]), Weights((1, 2, 3))):
+            assert decide_cofinite(s) == decision
+            assert [g_values(n, s) for n in range(1, 40)] == values
+            assert main_term(7, s) == main_term(7, (1, 2, 3))
+
+    def test_invalid_triples_raise_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="exactly three"):
+                g_values(3, (1, 2))
+            with pytest.raises(ValueError, match="positive integers"):
+                g_values(3, (0, 2, 3))
+            with pytest.raises(ValueError, match="not coprime"):
+                decide_cofinite((2, 4, 6))
+
+
 class TestTable2:
     def test_reproduces_reference(self):
         rows = table2()
