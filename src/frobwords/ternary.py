@@ -9,13 +9,16 @@ set misses infinitely many integers reduces to a finite check: slide a
 window of fixed length l over F, and ask whether the window's interval of
 "reachable" integers is fully covered by its semi-images at both parities.
 The windows are the l+2 Fibonacci factors of length l+1, all found by one
-refinement of first-occurrence ids (_fib_factor_starts); their count is the
-certificate.  The direct scan of t that checks the complements is in verify.
+refinement of first-occurrence ids (_fib_factor_starts), which groups only
+the windows whose next letter departs from their factor's first
+occurrence.  Their count is the certificate.  The direct scan of t that
+checks the complements is in verify.
 
 Every half-integer is carried as its doubled int: the kernels sum and
-compare plain ints from one per-triple record (_Triple), and no division
-and no floats ever enter the decision.  Half is the boundary type: the
-public functions return it, and JSON carries it as {"twice": ...}.
+compare plain ints from one per-triple record (_Triple, validated once and
+memoised in _TRIPLES), and no division and no floats ever enter the
+decision.  Half is the boundary type: the public functions return it, and
+JSON carries it as {"twice": ...}.
 """
 
 from __future__ import annotations
