@@ -116,6 +116,6 @@ def clear_caches() -> None:
     factors._DESUBSTITUTION_CACHE.clear()
     frobenius._COMPLEMENT_MEMO.clear()
     ternary._TRIPLES.clear()
-    ternary._decide.cache_clear()
+    ternary._DECISIONS.clear()
     ternary.enumerate_fib_factors.cache_clear()
     ternary._fib_table = (None, [])

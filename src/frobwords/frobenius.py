@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import operator
 import weakref
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,8 +110,8 @@ def s_value(w: FiniteWord, weights: Weights) -> int:
 
 
 # Per-generator complement memo: (weights, max_len, src) as the caller passed
-# them -> (ceiling, sorted positive non-values below ceiling); keys die with
-# their generators.
+# them -> (ceiling, tuple of the sorted positive non-values below ceiling);
+# keys die with their generators.
 _COMPLEMENT_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 #: Largest value mask, in integers, that any request may build, checked
@@ -218,23 +219,29 @@ def complement_below(
 
     Repeated requests are lookups.  Each request key, (weights, max_len,
     src) as passed, keeps one memo entry per generator: the sorted
-    non-values below a ceiling, from one value mask.  Every value below
-    max_len * min(weights) comes from lengths <= max_len, and no larger
-    bound passes the max_len check, so the ceiling is that product, cut to
-    2 * max(bound, max_len) and to COMPLEMENT_MEMO_SPAN, but never below
-    the bound: a bound above the span builds exactly the bound's mask.  A
-    bound within the ceiling is one binary search; a larger one replaces
-    the entry.  The argument checks run on every call; the source's own
+    non-values below a ceiling, from one value mask, as a tuple.  Every
+    value below max_len * min(weights) comes from lengths <= max_len, and
+    no larger bound passes the max_len check, so the ceiling is that
+    product, cut to 2 * max(bound, max_len) and to COMPLEMENT_MEMO_SPAN, but
+    never below the bound: a bound above the span builds exactly the
+    bound's mask.  A bound within the ceiling is one binary search and a
+    slice of that tuple; a larger one replaces the entry.  The weights
+    (through Weights), bound and max_len checks run on every call.
+    Coprimality runs only on a miss: an entry exists only for weights that
+    passed it, and equal weights have the same gcd.  The source's own
     checks ran when the entry was built.  The memo is not bounded in the
     number of keys: each distinct (weights, max_len, src) keeps its entry
     until its generator dies or frobwords.clear_caches() runs.
     """
     weights = Weights(weights)
-    weights.require_coprime()
+    key = (weights, max_len, src)
+    memo = _COMPLEMENT_MEMO.get(g)
+    entry = memo.get(key) if memo is not None else None
+    if entry is None:
+        weights.require_coprime()
     if bound < 1:
         raise ValueError("bound must be >= 1")
     needed = -(-bound // min(weights))
-    key = (weights, max_len, src)
     if max_len is None:
         max_len = needed
     if max_len < needed:
@@ -242,23 +249,18 @@ def complement_below(
             f"max_len={max_len} cannot decide representability below {bound}; "
             f"need at least {needed}"
         )
-    memo = _COMPLEMENT_MEMO.setdefault(g, {})
-    ceiling, nonvalues = memo.get(key, (0, None))
-    if ceiling < bound:
+    if entry is None or entry[0] < bound:
         ceiling = max(bound, min(max_len * min(weights), 2 * max(bound, max_len),
                                  COMPLEMENT_MEMO_SPAN))
         hit = _value_mask(g, weights, ceiling, max_len, src)
-        nonvalues = np.flatnonzero(~hit[1:]) + 1
-        memo[key] = ceiling, nonvalues
-    complement = tuple(nonvalues[:nonvalues.searchsorted(bound)].tolist())
-    method = "binary-envelope-interval" if g.alphabet_size == 2 else "parikh-set-scan"
+        entry = ceiling, tuple((np.flatnonzero(~hit[1:]) + 1).tolist())
+        if memo is None:
+            memo = _COMPLEMENT_MEMO[g] = {}
+        memo[key] = entry
+    nonvalues = entry[1]
     return ComplementReport(
-        weights=weights,
-        search_bound=bound,
-        max_factor_length=max_len,
-        complement=complement,
-        method=method,
-    )
+        weights, bound, max_len, nonvalues[:bisect_left(nonvalues, bound)],
+        "binary-envelope-interval" if g.alphabet_size == 2 else "parikh-set-scan")
 
 
 def pf_witnesses(a: int, b: int, n_range, src: FactorSource | None = None):

@@ -167,15 +167,20 @@ class _Triple:
 
 
 # Validated triples, keyed by their Weights.  A plain tuple equals its
-# Weights and hashes alike, so it may answer from here, but only when its
-# entries are exact ints: (1.0, 2, 3) == (1, 2, 3), and it must still
-# raise in Weights.
+# Weights and hashes alike, so it may answer from here or from _DECISIONS,
+# but only when its entries are exact ints (_memo_key): (1.0, 2, 3) ==
+# (1, 2, 3), and it must still raise in Weights.
 _TRIPLES: dict = {}
 
 
+def _memo_key(s) -> bool:
+    """Whether s may be looked up as it is in a memo keyed by Weights."""
+    return type(s) is Weights or (type(s) is tuple and len(s) == 3
+                                  and type(s[0]) is type(s[1]) is type(s[2]) is int)
+
+
 def _triple(s) -> _Triple:
-    if type(s) is Weights or (type(s) is tuple and len(s) == 3
-                              and type(s[0]) is type(s[1]) is type(s[2]) is int):
+    if _memo_key(s):
         t = _TRIPLES.get(s)
         if t is not None:
             return t
@@ -501,11 +506,11 @@ def enumerate_fib_factors(length: int) -> tuple:
         _fib_table = _fib_factor_starts(
             length if length < 1 else max(length, min(2 * cached, _MAX_FACTOR_LENGTH)))
     text, starts = _fib_table
-    return tuple((int(i) + 1, tuple(text[i : i + length].tolist()))
-                 for i in starts[length - 1])
+    starts = starts[length - 1].tolist()
+    letters = text[: starts[-1] + length].tolist()  # starts ascend
+    return tuple((i + 1, tuple(letters[i : i + length])) for i in starts)
 
 
-@lru_cache(maxsize=None)
 def _decide(t: _Triple) -> TernaryDecision:
     factors = enumerate_fib_factors(t.l + 1)
     if t.odd[0] == 0:
@@ -526,12 +531,27 @@ def _decide(t: _Triple) -> TernaryDecision:
     return TernaryDecision(t.weights, True, _extract_complement(t), None, t.l)
 
 
+# Decisions, keyed by their Weights; an entry exists only for a coprime
+# triple, so a hit needs no gcd.
+_DECISIONS: dict = {}
+
+
 def decide_cofinite(s) -> TernaryDecision:
     """Decide whether the value set of t under the triple misses only
-    finitely many integers; requires gcd(S0,S1,S2) = 1."""
+    finitely many integers; requires gcd(S0,S1,S2) = 1.
+
+    Each decision is memoised per Weights: a Weights or a tuple of three
+    exact ints that was decided before is one dict lookup."""
+    if _memo_key(s):
+        decision = _DECISIONS.get(s)
+        if decision is not None:
+            return decision
     t = _triple(s)
-    t.weights.require_coprime()
-    return _decide(t)
+    decision = _DECISIONS.get(t.weights)
+    if decision is None:
+        t.weights.require_coprime()
+        decision = _DECISIONS[t.weights] = _decide(t)
+    return decision
 
 
 def _complement_bound(t: _Triple) -> int:

@@ -467,11 +467,12 @@ def replace_alternate_zeros(w: FiniteWord, start: str = "second") -> FiniteWord:
 def _replace_alternate_zeros_array(arr: np.ndarray, start: str) -> np.ndarray:
     """The substitution on a binary array, or on each row of a 2-D one."""
     zeros = arr == 0
-    ordinal = np.cumsum(zeros, axis=-1)  # 1-based ordinal of each zero in its row
-    replace_even = start == "second"
-    target = (ordinal % 2 == 0) if replace_even else (ordinal % 2 == 1)
+    # Whether the 1-based ordinal of each zero in its row is odd: a running
+    # parity, one bool pass with no int ordinal.
+    odd = np.logical_xor.accumulate(zeros, axis=-1)
+    target = zeros > odd if start == "second" else zeros & odd
     out = arr.copy()
-    out[zeros & target] = 2
+    np.putmask(out, target, 2)
     return out
 
 

@@ -205,6 +205,44 @@ class TestComplementMemo:
             assert report.complement == want
             assert report.search_bound == bound
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(MEMO_KEYS), st.integers(1, 400)),
+                    min_size=1, max_size=6))
+    def test_hit_equals_cold_call(self, queries):
+        # every field of a hit's report, max_factor_length with max_len=None
+        # included, is the one a call with empty caches returns
+        hits = []
+        for (g, weights, max_len, src), bound in queries:
+            try:
+                complement_below(g, Weights(weights), bound, max_len, src)
+            except ValueError:
+                continue
+            hits.append(((g, weights, max_len, src), bound,
+                         complement_below(g, Weights(weights), bound, max_len, src)))
+        for (g, weights, max_len, src), bound, hit in hits:
+            frobwords.clear_caches()
+            cold = complement_below(g, Weights(weights), bound, max_len, src)
+            assert hit == cold and type(hit.complement) is tuple
+
+    def test_validation_on_a_hit(self):
+        g = MorphicFixedPoint()
+        assert complement_below(g, Weights((1, 2)), 10).complement == ()
+        assert (1.0, 2) == (1, 2) and hash((1.0, 2)) == hash((1, 2))
+        for _ in range(3):
+            with pytest.raises(ValueError, match="positive integers"):
+                complement_below(g, (1.0, 2), 10)
+            with pytest.raises(ValueError, match="not coprime"):
+                complement_below(g, Weights((2, 4)), 10)
+        assert list(frobenius._COMPLEMENT_MEMO[g]) == [(Weights((1, 2)), None, None)]
+
+    def test_full_range_hit_shares_the_memo_tuple(self):
+        g = MorphicFixedPoint()
+        w = Weights((3, 4))
+        complement_below(g, w, 300)
+        ceiling, nonvalues = frobenius._COMPLEMENT_MEMO[g][w, None, None]
+        assert complement_below(g, w, 300).complement is nonvalues
+        assert complement_below(g, w, 6).complement == (1, 2, 5)
+
     def test_max_len_guard_on_a_hit(self):
         g = MorphicFixedPoint()
         w = Weights((2, 3))
@@ -233,7 +271,7 @@ class TestComplementMemo:
                 PHI, w, bound, 700, src)
         assert list(frobenius._COMPLEMENT_MEMO[g]) == [(w, 700, src)]
         ceiling, nonvalues = frobenius._COMPLEMENT_MEMO[g][w, 700, src]
-        assert ceiling == 700 * 3 and nonvalues.tolist() == [1, 2, 5, 9]
+        assert ceiling == 700 * 3 and nonvalues == (1, 2, 5, 9)
 
     def test_ceiling_within_the_span(self):
         # a max_len far past ceil(bound / 1000) does not buy a mask of
@@ -315,7 +353,8 @@ class TestValueMaskBudget:
 
 class TestClearCaches:
     def test_next_call_rebuilds(self, monkeypatch):
-        builds = {"envelope": 0, "mask": 0, "fib": 0, "triple": 0}
+        builds = {"envelope": 0, "mask": 0, "fib": 0, "triple": 0,
+                  "decision": 0}
 
         def counted(name, module, attr):
             fn = getattr(module, attr)
@@ -330,23 +369,24 @@ class TestClearCaches:
         counted("mask", frobenius, "_value_mask")
         counted("fib", ternary, "_fib_factor_starts")
         counted("triple", ternary, "_new_triple")
+        counted("decision", ternary, "_decide")
 
         def requests():
             complement_below(PHI, Weights((3, 4)), 100, 200, MorphicCover(4))
             decide_cofinite((1, 2, 3))
-            return dict(builds), ternary._decide.cache_info().misses
+            return dict(builds)
 
         frobwords.clear_caches()
-        # one build of each, one miss of the lru_cache (cleared with it)
-        assert requests() == ({name: 1 for name in builds}, 1)
-        assert requests() == ({name: 1 for name in builds}, 1)  # lookups
+        assert requests() == {name: 1 for name in builds}  # one build of each
+        assert requests() == {name: 1 for name in builds}  # lookups
         assert list(ternary._TRIPLES) == [(1, 2, 3)]
+        assert list(ternary._DECISIONS) == [(1, 2, 3)]
         frobwords.clear_caches()
         assert not factors._ENVELOPE_CACHE and not factors._COVER_CACHE
         assert not frobenius._COMPLEMENT_MEMO
-        assert not ternary._TRIPLES
+        assert not ternary._TRIPLES and not ternary._DECISIONS
         assert ternary._fib_table == (None, [])
-        assert requests() == ({name: 2 for name in builds}, 1)
+        assert requests() == {name: 2 for name in builds}
 
 
 class TestPaperfoldingWitnesses:

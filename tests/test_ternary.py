@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import frobwords
 from frobwords import ternary
 from frobwords.factors import StabilizedDoubling, parikh_set_table
 from frobwords.frobenius import Weights
@@ -383,7 +384,7 @@ class TestIntegerKernels:
                      "__mul__", "__rmul__", "__neg__", "__abs__", "__eq__",
                      "__lt__", "__le__", "__gt__", "__ge__"):
             monkeypatch.setattr(Half, name, forbidden)
-        ternary._decide.cache_clear()  # so every decision really runs
+        ternary._DECISIONS.clear()  # so every decision really runs
         assert [(tuple(r.weights), r.complement) for r in table2()] == [
             (w, c) for w, c in TABLE2_GOLDEN]
         assert decide_cofinite((8, 1, 1)).witness is not None
@@ -507,6 +508,22 @@ class TestTripleMemo:
                 g_values(3, (0, 2, 3))
             with pytest.raises(ValueError, match="not coprime"):
                 decide_cofinite((2, 4, 6))
+
+
+    def test_decision_memo(self):
+        frobwords.clear_caches()
+        decision = decide_cofinite((1, 2, 3))
+        assert ternary._DECISIONS == {(1, 2, 3): decision}
+        assert type(next(iter(ternary._DECISIONS))) is Weights
+        for s in ([1, 2, 3], (np.int64(1), np.int64(2), np.int64(3)),
+                  np.array([1, 2, 3]), Weights((1, 2, 3))):
+            assert decide_cofinite(s) is decision
+        for _ in range(2):
+            with pytest.raises(ValueError, match="positive integers"):
+                decide_cofinite((1.0, 2, 3))
+            with pytest.raises(ValueError, match="not coprime"):
+                decide_cofinite((2, 4, 6))
+        assert list(ternary._DECISIONS) == [(1, 2, 3)]
 
 
 class TestTable2:
