@@ -118,4 +118,4 @@ def clear_caches() -> None:
     ternary._TRIPLES.clear()
     ternary._DECISIONS.clear()
     ternary.enumerate_fib_factors.cache_clear()
-    ternary._fib_table = (None, [])
+    ternary._fib_table = ternary._NO_TABLE

@@ -74,8 +74,15 @@ into the next block: a scan holds O(n_max + _SCAN_BLOCK) sums, not a
 full-length sums array and its temporaries, and a string that fits in one
 block is one pass.  Window lengths stay the inner loop of each block, one
 subtraction and one fold each.  Which sums the walk builds, zero counts or
-ternary codes, is chosen once per call, so the walk itself does not depend
-on the alphabet.
+ternary codes, and how, is chosen once per call, so the walk itself does
+not depend on the alphabet.  Binary zero counts are summed by a blocked
+scan (Blelloch, "Prefix sums and their applications", 1990): the block is
+read as rows of 16 symbols, 15 vectorised column adds give every row its
+running sums, and one short cumsum of the row ends gives each row's offset
+(``_blocked_prefix_sums``).  np.cumsum carries one serial dependency
+through the block and costs more than the subtraction and the fold
+together; ternary codes keep it, as there the blocked scan measured no
+faster.
 
 A doubling step scans only the new half and the n_max - 1 symbols before
 it.  Going from a prefix of length L to 2L, the only new windows of length
@@ -102,7 +109,9 @@ The kernel keeps binary prefix sums in wrapping uint16 while every
 window length is below 2**16, block by block: the carried sums and the
 block's sums continue one running count modulo 2**16, a difference of two
 sums is the true zero count modulo 2**16, and that count lies in [0, n]
-with n < 2**16, so it is exact.  Longer windows use int32.
+with n < 2**16, so it is exact.  Addition modulo 2**16 is associative, so
+the blocked scan, which adds in another order, gives the same sums modulo
+2**16 as np.cumsum.  Longer windows use int32.
 """
 
 from __future__ import annotations
@@ -473,9 +482,18 @@ def _hull_step(previous: tuple, tail: np.ndarray) -> tuple:
 
 #: Symbols per block of the window kernel, so a scan holds O(n_max + block)
 #: sums however long its strings are.  parikh_set(pf, 2^k) for k = 1..14
-#: under doubling took 16-17 ms at blocks of 2^16 to 2^18, 21 ms at 2^14
-#: and 24 ms in one full-length pass (2 cores, numpy 2.4).
+#: under doubling, prefix prebuilt, took 6.1-7.2 ms at blocks of 2^16 to
+#: 2^18, 8.4-8.8 ms at 2^15, 13 ms at 2^14 (below _BLOCKED_SCAN_MIN, so
+#: np.cumsum) and 8-9 ms in one full-length pass (2 cores, numpy 2.4).
 _SCAN_BLOCK = 2**17
+
+#: Symbols per row of the blocked binary prefix sums, and the least block
+#: they take; shorter blocks keep np.cumsum.  One 2^17-symbol block of
+#: uint16 sums took 0.14 ms in rows of 16 against 0.29 ms by np.cumsum
+#: (int32: 0.23 against 0.31 ms); the two cross near 2^14 symbols in uint16
+#: and 2^15 in int32.
+_SCAN_ROW = 16
+_BLOCKED_SCAN_MIN = 2**15
 
 
 def _window_scan(strings: list[np.ndarray], lengths: Iterable[int], alphabet_size: int):
@@ -491,23 +509,26 @@ def _window_scan(strings: list[np.ndarray], lengths: Iterable[int], alphabet_siz
     (``_extrema``, ``_distinct_pairs``), merged into the length's row so far
     (``_hull``, ``_union``).
 
-    The count step is chosen once per call.  A binary prefix sum counts
-    zeros, in wrapping uint16 while every length is below 2**16 (see the
-    module docstring), else in int32.  A ternary one is the int64 code
-    ones*B + twos with B = n_max + 1, so one difference gives both counts
-    of a window in base B; codes stay below N*B for strings of length N,
-    so below N, B = 2**31 they cannot overflow.
+    The count and sum steps are chosen once per call.  A binary prefix sum
+    counts zeros, in wrapping uint16 while every length is below 2**16 (see
+    the module docstring), else in int32, summed by a blocked scan
+    (``_blocked_prefix_sums``).  A ternary one, summed by np.cumsum, is the
+    int64 code ones*B + twos with B = n_max + 1, so one difference gives
+    both counts of a window in base B; codes stay below N*B for strings of
+    length N, so below N, B = 2**31 they cannot overflow.
     """
     lengths = list(lengths)
     n_max = max(lengths, default=0)
     if alphabet_size == 2:
         dtype = np.uint16 if n_max < 2**16 else np.int32
         count, fold, merge = (lambda chunk: chunk == 0), _extrema, _hull
+        prefix_sums = _blocked_prefix_sums
     elif alphabet_size == 3:
         dtype = np.int64
         base = n_max + 1
         count = np.array([0, base, 1], dtype=dtype).take
         fold, merge = (lambda codes: _distinct_pairs(codes, base)), _union
+        prefix_sums = _serial_prefix_sums
     else:
         raise ValueError("only alphabets of size 2 and 3 are supported")
     block = _SCAN_BLOCK
@@ -520,10 +541,7 @@ def _window_scan(strings: list[np.ndarray], lengths: Iterable[int], alphabet_siz
         sums[0], origin, top = 0, 0, 1
         for start in range(0, len(arr), block):
             chunk = arr[start:start + block]
-            new = sums[top:top + len(chunk)]
-            np.cumsum(count(chunk), dtype=dtype, out=new)
-            if start:
-                new += sums[top - 1]
+            prefix_sums(count(chunk), sums[top - 1], sums[top:top + len(chunk)])
             top += len(chunk)
             for i, n in enumerate(lengths):
                 # the windows that end in this block, at the first of which
@@ -541,6 +559,45 @@ def _window_scan(strings: list[np.ndarray], lengths: Iterable[int], alphabet_siz
         if row is None:
             raise ValueError(f"no covering string long enough for n={n}")
         yield row
+
+
+def _serial_prefix_sums(values: np.ndarray, carry, out: np.ndarray) -> None:
+    """out[i] = carry + values[0] + ... + values[i], in out's dtype, by one
+    np.cumsum."""
+    np.cumsum(values, dtype=out.dtype, out=out)
+    if carry:
+        out += carry
+
+
+def _blocked_prefix_sums(values: np.ndarray, carry, out: np.ndarray) -> None:
+    """_serial_prefix_sums by a blocked scan (Blelloch, "Prefix sums and
+    their applications", 1990), for the binary zero counts.
+
+    The block is read as rows of _SCAN_ROW consecutive symbols.  Column r-1
+    is added into column r for every row at once, which leaves each row
+    its own running sums; one short cumsum of the row ends gives each row's
+    offset, added with the carry.  Each step is a vectorised add, where
+    np.cumsum carries one serial dependency through the whole block.  In
+    uint16 every sum wraps, and since addition modulo 2**16 is associative
+    the sums are np.cumsum's.  The symbols past the last whole row, and a
+    block below _BLOCKED_SCAN_MIN symbols, take np.cumsum.
+    """
+    body = len(values) - len(values) % _SCAN_ROW
+    if body < _BLOCKED_SCAN_MIN:
+        body = 0
+    else:
+        rows = out[:body].reshape(-1, _SCAN_ROW)
+        rows[...] = values[:body].reshape(-1, _SCAN_ROW)
+        for r in range(1, _SCAN_ROW):
+            np.add(rows[:, r], rows[:, r - 1], out=rows[:, r])
+        offsets = np.empty(len(rows), dtype=out.dtype)
+        offsets[0] = carry
+        np.cumsum(rows[:-1, -1], out=offsets[1:])
+        offsets[1:] += carry
+        rows += offsets[:, None]
+        carry = out[body - 1]
+    if body < len(values):
+        _serial_prefix_sums(values[body:], carry, out[body:])
 
 
 def _extrema(zeros: np.ndarray) -> tuple[int, int]:

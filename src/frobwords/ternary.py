@@ -438,10 +438,15 @@ def decision_window_length(s) -> int:
 FACTOR_BUDGET = 2**22
 
 
-def _fib_factor_starts(n_max: int) -> tuple:
-    """The scanned Fibonacci prefix ``text`` and, for each length n up to
-    n_max, the ascending 0-based starts of the first occurrences of its n+1
-    factors (the factor at start i is text[i:i+n]).
+#: The table of no lengths, as _fib_factor_starts returns them.
+_NO_TABLE = (None, (), None)
+
+
+def _fib_factor_starts(n_max: int, table: tuple = _NO_TABLE) -> tuple:
+    """The scanned Fibonacci prefix ``text``, for each length n up to n_max
+    the ascending 0-based starts of the first occurrences of its n+1
+    factors (the factor at start i is text[i:i+n]), and the ids of the
+    length-n_max windows.
 
     The length-n window at j has as id the first position p of its factor.
     Growing it by x[j+n], it keeps p when that letter is x[p+n], the letter
@@ -453,6 +458,13 @@ def _fib_factor_starts(n_max: int) -> tuple:
     takes a factor with it when it is that factor's first occurrence.
     Finding exactly n+1 ids certifies the prefix; fewer double it from
     32*n_max.
+
+    ``table``, an earlier result, is resumed: the refinement goes on over
+    its text from its ids at its longest length, so a sweep through rising
+    lengths does not refine the short ones again.  A certificate holds over
+    any prefix, so the starts are those of a fresh call.  If that text falls
+    short at some length, the refinement starts again from length 1 with
+    the scan doubled, to at least 32*n_max.
     """
     if n_max < 1:
         raise ValueError("factor length must be >= 1")
@@ -460,12 +472,19 @@ def _fib_factor_starts(n_max: int) -> tuple:
         raise ValueError(
             f"the {n_max + 1} Fibonacci factors of length {n_max} exceed the "
             "2^22-symbol enumeration budget")
-    scan = 32 * n_max
+    text, starts, ids = table
+    if starts:
+        # copies, so a failed call leaves the earlier table intact
+        scan, starts, ids = len(text), list(starts), ids.copy()
+        first = starts[-1]
+    else:
+        scan = 32 * n_max
     while True:
-        text = WORDS["fib"].prefix_array(scan)
-        ids = np.zeros(scan + 1, dtype=np.intp)  # the empty windows
-        first, starts = np.zeros(1, dtype=np.intp), []
-        for n in range(1, n_max + 1):
+        if not starts:
+            text = WORDS["fib"].prefix_array(scan)
+            ids = np.zeros(scan + 1, dtype=np.intp)  # the empty windows
+            first, starts = np.zeros(1, dtype=np.intp), []
+        for n in range(len(starts) + 1, n_max + 1):
             lost = int(ids[scan - n + 1] == scan - n + 1)
             ids = ids[: scan - n + 1]
             letters = text[n - 1 :]
@@ -479,20 +498,20 @@ def _fib_factor_starts(n_max: int) -> tuple:
                 break
             starts.append(first)
         else:
-            return text, starts
+            return text, starts, ids
         if len(first) > n + 1 or scan >= FACTOR_BUDGET:
             raise RuntimeError(
                 f"{len(first)} distinct Fibonacci factors of length {n} in a "
                 f"{scan}-symbol prefix; Sturmian complexity is exactly {n + 1}")
-        scan *= 2
+        scan, starts = max(2 * scan, 32 * n_max), []
 
 
 #: The longest factor length whose enumeration fits FACTOR_BUDGET.
 _MAX_FACTOR_LENGTH = (math.isqrt(4 * FACTOR_BUDGET + 1) - 1) // 2
 
-# Text and per-length starts of the longest enumeration so far; it only
-# grows, at least doubling, so a sweep over lengths costs about one pass.
-_fib_table = (None, [])
+# The longest enumeration so far, as _fib_factor_starts returns it; it only
+# grows, at least doubling, each time from where it stopped.
+_fib_table = _NO_TABLE
 
 
 @lru_cache(maxsize=None)
@@ -504,8 +523,9 @@ def enumerate_fib_factors(length: int) -> tuple:
     if not 0 < length <= cached:
         # Grow to at least twice the cached length; a bad length raises there.
         _fib_table = _fib_factor_starts(
-            length if length < 1 else max(length, min(2 * cached, _MAX_FACTOR_LENGTH)))
-    text, starts = _fib_table
+            length if length < 1 else max(length, min(2 * cached, _MAX_FACTOR_LENGTH)),
+            _fib_table)
+    text, starts, _ = _fib_table
     starts = starts[length - 1].tolist()
     letters = text[: starts[-1] + length].tolist()  # starts ascend
     return tuple((i + 1, tuple(letters[i : i + length])) for i in starts)

@@ -423,7 +423,7 @@ def _ternary_checks(quick: bool) -> list[CheckResult]:
     t_table = parikh_set_table(_T, max(n_ll, n_bal, n_g, n_scan),
                                StabilizedDoubling())
 
-    text, fib_starts = ternary._fib_factor_starts(n_ll)
+    text, fib_starts, _ = ternary._fib_factor_starts(n_ll)
     ok_lemma_l = True
     for n, starts in enumerate(fib_starts, start=1):
         row = t_table[n - 1]

@@ -267,16 +267,20 @@ def _pf_array_recursive(n: int) -> np.ndarray:
     return w[:n]
 
 
-def _pf_array_toeplitz(n: int) -> np.ndarray:
+def _pf_array_toeplitz(n: int, known: np.ndarray | None = None) -> np.ndarray:
     """The Toeplitz fill, all in one uint8 buffer: positions 1, 5, 9, ...
     hold 0 and 3, 7, 11, ... hold 1, and the even positions, every second
-    slot, are the prefix of length n // 2, filled the same way in place."""
+    slot, are the prefix of length n // 2, filled the same way in place.
+    The descent stops at the first such prefix no longer than ``known``, a
+    pf prefix already built, and copies that in."""
     out = np.empty(n, dtype=np.uint8)
-    view = out
-    while len(view):
+    view, stop = out, 0 if known is None else len(known)
+    while len(view) > stop:
         view[0::4] = 0
         view[2::4] = 1
         view = view[1::2]
+    if len(view):
+        view[:] = known[:len(view)]
     return out
 
 
@@ -544,7 +548,7 @@ class PaperfoldingWord(WordGenerator):
     alphabet_size = 2
 
     def _build(self, n):
-        return _pf_array_toeplitz(n)
+        return _pf_array_toeplitz(n, self._cache)
 
     def letter(self, n):
         return paperfolding_letter(n)

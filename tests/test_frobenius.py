@@ -385,7 +385,7 @@ class TestClearCaches:
         assert not factors._ENVELOPE_CACHE and not factors._COVER_CACHE
         assert not frobenius._COMPLEMENT_MEMO
         assert not ternary._TRIPLES and not ternary._DECISIONS
-        assert ternary._fib_table == (None, [])
+        assert ternary._fib_table == ternary._NO_TABLE
         assert requests() == {name: 2 for name in builds}
 
 

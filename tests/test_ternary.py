@@ -397,12 +397,12 @@ class TestIntegerKernels:
         passes = []
         one_pass = ternary._fib_factor_starts
 
-        def counted(n_max):
+        def counted(n_max, table):
             passes.append(n_max)
-            return one_pass(n_max)
+            return one_pass(n_max, table)
 
         monkeypatch.setattr(ternary, "_fib_factor_starts", counted)
-        monkeypatch.setattr(ternary, "_fib_table", (None, []))
+        monkeypatch.setattr(ternary, "_fib_table", ternary._NO_TABLE)
         enumerate_fib_factors.cache_clear()
         try:
             assert all(len(enumerate_fib_factors(n)) == n + 1
@@ -454,7 +454,7 @@ class _StandardSturmian:
 
 class TestFactorRefinement:
     def assert_same(self, n_max):
-        text, starts = ternary._fib_factor_starts(n_max)
+        text, starts, _ = ternary._fib_factor_starts(n_max)
         ref_text, ref_starts = ref_fib_factor_starts(n_max)
         assert text.tobytes() == ref_text.tobytes()
         assert len(starts) == len(ref_starts) == n_max
