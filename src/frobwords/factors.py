@@ -80,9 +80,9 @@ scan (Blelloch, "Prefix sums and their applications", 1990): the block is
 read as rows of 16 symbols, 15 vectorised column adds give every row its
 running sums, and one short cumsum of the row ends gives each row's offset
 (``_blocked_prefix_sums``).  np.cumsum carries one serial dependency
-through the block and costs more than the subtraction and the fold
-together; ternary codes keep it, as there the blocked scan measured no
-faster.
+through the block: 0.29 ms per 2**17 uint16 sums, where one length's
+subtraction and fold take 0.015 ms.  Ternary codes keep it, as there the
+blocked scan measured no faster.
 
 A doubling step scans only the new half and the n_max - 1 symbols before
 it.  Going from a prefix of length L to 2L, the only new windows of length
@@ -482,9 +482,10 @@ def _hull_step(previous: tuple, tail: np.ndarray) -> tuple:
 
 #: Symbols per block of the window kernel, so a scan holds O(n_max + block)
 #: sums however long its strings are.  parikh_set(pf, 2^k) for k = 1..14
-#: under doubling, prefix prebuilt, took 6.1-7.2 ms at blocks of 2^16 to
-#: 2^18, 8.4-8.8 ms at 2^15, 13 ms at 2^14 (below _BLOCKED_SCAN_MIN, so
-#: np.cumsum) and 8-9 ms in one full-length pass (2 cores, numpy 2.4).
+#: under doubling, prefix prebuilt, took 5.9-7.2 ms at blocks of 2^16 to
+#: 2^18, 8.8-9.9 ms at 2^15, 13-14 ms at 2^14 (below _BLOCKED_SCAN_MIN, so
+#: np.cumsum) and 8.5-9 ms in one full-length pass (medians, 2 cores,
+#: numpy 2.4).
 _SCAN_BLOCK = 2**17
 
 #: Symbols per row of the blocked binary prefix sums, and the least block
@@ -576,11 +577,10 @@ def _blocked_prefix_sums(values: np.ndarray, carry, out: np.ndarray) -> None:
     The block is read as rows of _SCAN_ROW consecutive symbols.  Column r-1
     is added into column r for every row at once, which leaves each row
     its own running sums; one short cumsum of the row ends gives each row's
-    offset, added with the carry.  Each step is a vectorised add, where
-    np.cumsum carries one serial dependency through the whole block.  In
-    uint16 every sum wraps, and since addition modulo 2**16 is associative
-    the sums are np.cumsum's.  The symbols past the last whole row, and a
-    block below _BLOCKED_SCAN_MIN symbols, take np.cumsum.
+    offset, added with the carry.  In uint16 every sum wraps, and since
+    addition modulo 2**16 is associative the sums are np.cumsum's.  The
+    symbols past the last whole row, and a block below _BLOCKED_SCAN_MIN
+    symbols, take np.cumsum.
     """
     body = len(values) - len(values) % _SCAN_ROW
     if body < _BLOCKED_SCAN_MIN:

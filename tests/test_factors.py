@@ -39,10 +39,12 @@ from frobwords.factors import (
 )
 from frobwords.words import (
     ConfigurationError,
+    FibonacciWord,
     FiniteWord,
     MorphicFixedPoint,
     Morphism,
     PaperfoldingWord,
+    TernaryBalancedWord,
     WORDS,
     WordGenerator,
 )
@@ -531,6 +533,88 @@ class TestBinaryKernelWidth:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 2**20
+
+
+class TestBlockedPrefixSums:
+    ROW, LEAST = factors._SCAN_ROW, factors._BLOCKED_SCAN_MIN
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from([np.uint16, np.int32]),
+           st.one_of(st.integers(0, 4 * ROW + 3),
+                     st.integers(LEAST - ROW - 1, LEAST + 4 * ROW + 3)),
+           st.integers(0, 2**32 - 1), st.data())
+    # the least block the rows take, one symbol short of it and a remainder
+    @example(np.uint16, LEAST, 0, None)
+    @example(np.uint16, LEAST - 1, 1, None)
+    @example(np.int32, LEAST + 2 * ROW + 5, 2, None)
+    def test_matches_cumsum_and_carry(self, dtype, size, seed, data):
+        """Zero-count flags as the kernel passes them, with carries near
+        2**16 in uint16, so the sums wrap, and large ones in int32."""
+        values = np.random.default_rng(seed).integers(0, 2, size) == 0
+        if dtype is np.uint16:
+            top = 2**16 - 1
+            carry = top if data is None else data.draw(st.integers(top - size, top))
+        else:
+            carry = 2**31 - 1 - size if data is None else data.draw(
+                st.integers(0, 2**31 - 1 - size))
+        want = np.cumsum(values, dtype=np.int64) + carry
+        if dtype is np.uint16:
+            want %= 2**16
+        out = np.full(size, 7, dtype=dtype)
+        factors._blocked_prefix_sums(values, dtype(carry), out)
+        assert out.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("block", [2**15 + 1, 40_007, 2**15 + 8, 50_009])
+    def test_kernel_rows_with_blocks_off_the_row_grid(self, monkeypatch, block):
+        """Blocks that are no multiple of 16, so rows end mid-block and each
+        block has a remainder, in uint16 and in int32 (n_max >= 2**16)."""
+        prefix = PF.prefix_array(3 * 2**16 + 5)
+        sums = np.zeros(len(prefix) + 1, dtype=np.int64)
+        np.cumsum(prefix == 0, out=sums[1:])
+
+        def envelope(n):
+            zeros = sums[n:] - sums[:-n]
+            return int(zeros.min()), int(zeros.max())
+
+        monkeypatch.setattr(factors, "_SCAN_BLOCK", block)
+        for lengths in ([1, 2, 3, 17, 1000, 2**15 + 3], [5, 2**16 + 1]):
+            assert list(_window_scan([prefix], lengths, 2)) == [
+                envelope(n) for n in lengths]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.lists(st.lists(st.integers(0, 1), min_size=1,
+                                                  max_size=120),
+                                         min_size=1, max_size=3), st.data())
+    def test_short_rows_match_distinct_windows(self, block, lists, data):
+        """With the blocked scan taking every block of one row or more,
+        small blocks put row ends, block ends and remainders everywhere."""
+        strings = [np.array(xs, dtype=np.uint8) for xs in lists]
+        longest = max(len(arr) for arr in strings)
+        lengths = data.draw(st.lists(st.integers(1, longest), min_size=1,
+                                     max_size=5))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(factors, "_SCAN_BLOCK", block)
+            patch.setattr(factors, "_BLOCKED_SCAN_MIN", self.ROW)
+            got = list(_window_scan(strings, lengths, 2))
+        assert got == [distinct_window_counts(strings, n, 2) for n in lengths]
+
+    @pytest.mark.parametrize("table,digest", [
+        (lambda: parikh_set_table(PaperfoldingWord(), 1025,
+                                  StabilizedDoubling(max_length=2**22)),
+         "5f59e4ca77bef49d"),
+        (lambda: [a.tolist() for a in zero_envelope_table(
+            FibonacciWord(), 3000, ExplicitPrefix(2**20))],
+         "15695ce45f3f5eba"),
+        (lambda: parikh_set_table(TernaryBalancedWord(), 2000,
+                                  StabilizedDoubling()),
+         "a1a30c36e4faefcf"),
+    ], ids=["pf", "fib", "t"])
+    def test_tables_pinned(self, table, digest):
+        # sha256 of the JSON rows as np.cumsum summed them before the
+        # blocked scan (t, whose codes np.cumsum still sums, pins the walk);
+        # fresh generators, so no cached table answers
+        text = json.dumps(table()).encode()
+        assert hashlib.sha256(text).hexdigest()[:16] == digest
 
 
 def _counted_builder(monkeypatch, name):

@@ -1,6 +1,8 @@
 """Exact half-integer machinery and the ternary cofiniteness decision."""
 
 import math
+import pickle
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -475,6 +477,51 @@ class TestFactorRefinement:
         # is the last one, and the factor 1 drops out at length 2.
         monkeypatch.setattr(ternary, "WORDS", {"fib": _StandardSturmian(64)})
         assert len(self.assert_same(2)) == 128
+
+    def test_resumed_tables_equal_fresh_ones(self):
+        fresh_text, fresh, _ = ternary._fib_factor_starts(500)
+        table = ternary._NO_TABLE
+        # the 32-symbol text of length 1 serves up to 8 and falls short at
+        # 13 on the way to 16, where the refinement starts again on 32 * 16
+        # symbols; those serve up to 100 but not 500
+        for n_max, scan in ((1, 32), (2, 32), (8, 32), (16, 512), (100, 512),
+                            (500, 16000)):
+            table = ternary._fib_factor_starts(n_max, table)
+            text, starts, _ = table
+            assert len(text) == scan and len(starts) == n_max
+            assert text.tobytes() == fresh_text[:scan].tobytes()
+            for got, want in zip(starts, fresh):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_failed_resume_keeps_the_table(self, monkeypatch):
+        table = ternary._fib_factor_starts(4)
+        ids = table[2].copy()
+        monkeypatch.setattr(ternary, "WORDS", {"fib": WORDS["pf"]})
+        with pytest.raises(RuntimeError):
+            ternary._fib_factor_starts(500, table)
+        assert table[2].tobytes() == ids.tobytes() and len(table[1]) == 4
+
+    def test_sweeps_pickle_as_fresh_tables(self, monkeypatch):
+        """enumerate_fib_factors in a cold sweep, rising and in a shuffled
+        order, pickles as the factors read off one fresh table."""
+        text, fresh, _ = ternary._fib_factor_starts(500)
+
+        def expected(n):
+            return tuple((i + 1, tuple(text[i:i + n].tolist()))
+                         for i in fresh[n - 1].tolist())
+
+        lengths = [*range(1, 121), 250, 499, 500]
+        shuffled = lengths[:]
+        random.Random(5).shuffle(shuffled)
+        for order in (lengths, shuffled):
+            monkeypatch.setattr(ternary, "_fib_table", ternary._NO_TABLE)
+            enumerate_fib_factors.cache_clear()
+            try:
+                for n in order:
+                    assert (pickle.dumps(enumerate_fib_factors(n))
+                            == pickle.dumps(expected(n))), n
+            finally:
+                enumerate_fib_factors.cache_clear()
 
     def test_non_sturmian_text_raises(self, monkeypatch):
         monkeypatch.setattr(ternary, "WORDS", {"fib": WORDS["pf"]})

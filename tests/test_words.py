@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from frobwords import words
 from frobwords.words import (
     _pf_array_direct,
     _pf_array_recursive,
@@ -166,6 +167,31 @@ class TestPaperfolding:
                 assert direct.dtype == np.uint8 and len(direct) == n
                 assert np.array_equal(direct, _pf_array_recursive(n)), n
                 assert np.array_equal(direct, _pf_array_toeplitz(n)), n
+
+    @pytest.mark.parametrize("known", [0, 1, 1000, 2**20])
+    def test_toeplitz_fill_from_a_known_prefix(self, known):
+        """The fill copies a known prefix in where its descent reaches one
+        no longer, and the generator grows its cache the same way."""
+        for n in (3001, 2**20 - 1, 2**20 + 1):
+            direct = _pf_array_direct(n)
+            assert np.array_equal(_pf_array_toeplitz(n, _pf_array_direct(known)),
+                                  direct), n
+            g = PaperfoldingWord()
+            g.prefix_array(known)
+            assert np.array_equal(g.prefix_array(n), direct), n
+
+    def test_growth_passes_the_whole_cache(self, monkeypatch):
+        known = []
+
+        def fill(n, cached=None):
+            known.append(0 if cached is None else len(cached))
+            return _pf_array_toeplitz(n, cached)
+
+        monkeypatch.setattr(words, "_pf_array_toeplitz", fill)
+        g = PaperfoldingWord()
+        for n in (1000, 3001, 2**13):
+            g.prefix_array(n)
+        assert known == [0, 1000, 3001]
 
     def test_letter_rule_across_2_to_32(self):
         # the uint64 indices the builder switches to from 2**32 on, and the
