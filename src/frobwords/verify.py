@@ -3,7 +3,8 @@
 Each check recomputes a claim from scratch at desk scale and reports one
 CheckResult; the CLI ``verify`` command runs a suite and exits nonzero when
 anything fails.  ``quick=True`` shrinks the ranges to CI scale without
-changing what is checked.
+changing what is checked, except that the phi suite's cross-check of the
+run-chain complements against the value mask at scale runs only in full.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import factors, frobenius, golden, morphic, ternary, words
+from . import factors, golden, morphic, ternary, words
 from .factors import (
     Certified,
     ExplicitPrefix,
@@ -126,6 +127,36 @@ def classical_nonrepresentable(a: int, b: int) -> tuple:
     for v in range(1, bound):
         reach[v] = (v >= a and reach[v - a]) or (v >= b and reach[v - b])
     return tuple(int(v) for v in np.flatnonzero(~reach) if v > 0)
+
+
+def _envelope_mask(z_min, z_max, a: int, b: int, bound: int) -> np.ndarray:
+    """Boolean mask over 0..bound-1 of the values a*z + b*(n-z) with
+    z_min[n-1] <= z <= z_max[n-1], for every length n of the envelope.
+
+    The oracle for ``frobenius._run_chains``, for any envelope and any
+    weights: it needs no window law and no coprimality.  The values at one
+    length step by |a-b|, so inside one residue class mod |a-b| they are
+    one run of consecutive class members.  The classes are laid out as the
+    rows of a grid whose last column collects the runs that reach past
+    bound; each run adds +1 at its first member and -1 after its last, and
+    one cumsum per row turns the counts into the mask, 16 bytes per
+    integer below bound at its peak.
+    """
+    step = abs(a - b) or 1  # a == b: one value per length, one class
+    n = np.arange(1, len(z_min) + 1, dtype=np.int64)
+    v1 = b * n + (a - b) * np.asarray(z_min, dtype=np.int64)
+    v2 = b * n + (a - b) * np.asarray(z_max, dtype=np.int64)
+    lo, hi = np.minimum(v1, v2), np.maximum(v1, v2)
+    keep = lo < bound
+    lo, hi = lo[keep], hi[keep]
+    cols = -(-bound // step)  # members of class 0 below bound
+    width = cols + 1
+    row = lo % step * width
+    runs = np.bincount(row + lo // step, minlength=step * width)
+    runs -= np.bincount(row + np.minimum(hi // step + 1, cols),
+                        minlength=step * width)
+    runs = runs.reshape(step, width).cumsum(axis=1)[:, :cols]
+    return (runs > 0).T.ravel()[:bound]
 
 
 def _fills_envelope(g: WordGenerator, n_max: int, src) -> bool:
@@ -354,13 +385,30 @@ def _phi_checks(quick: bool) -> list[CheckResult]:
     )
     z_min, z_max = morphic.phi_envelope_table(needed)
     boundary_ok = all(
-        frobenius._envelope_mask(
+        _envelope_mask(
             z_min, z_max, r.a, r.b, r.ceil_M + r.a + r.b + 1)[r.ceil_M:].all()
         for r in rows
     )
     out.append(CheckResult(
         "phi", "every integer just above each bound is representable",
         bool(boundary_ok)))
+
+    if not quick:
+        # the production complements at scale, against the mask oracle
+        bounds = [morphic.ab_bound(a, b) for a in range(1, 9)
+                  for b in range(1, 9) if math.gcd(a, b) == 1]
+        z_min, z_max = morphic.phi_envelope_table(max(bd.r for bd in bounds))
+        chains_ok = all(
+            complement_below(_PHI, Weights((bd.a, bd.b)), bd.ceil_M,
+                             bd.r).complement
+            == tuple((np.flatnonzero(~_envelope_mask(
+                z_min[:bd.r], z_max[:bd.r], bd.a, bd.b, bd.ceil_M)[1:])
+                + 1).tolist())
+            for bd in bounds
+        )
+        out.append(CheckResult(
+            "phi", f"run-chain complements equal the value mask for "
+            f"{len(bounds)} weight pairs up to 8, to ceil(M)", chains_ok))
 
     stable = all(
         iterate_morphism(words.PHI_MORPHISM, 0, 5**k)

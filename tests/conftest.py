@@ -1,0 +1,10 @@
+"""Shared Hypothesis settings.
+
+``pytest --hypothesis-profile=ci`` runs the properties that size their
+runs with ``examples`` (tests/test_frobenius.py) at five times the
+examples they run by default.
+"""
+
+from hypothesis import settings
+
+settings.register_profile("ci", max_examples=500)

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -254,6 +255,47 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert doc["summary"]["failed"] == 0
         assert doc["summary"]["total"] >= 15
+
+
+# sha256 of stdout, pinned to the output the value-mask complement gave;
+# the run chains that replaced it must print the same bytes.
+PINNED_STDOUT = {
+    (("tables", "--which", "1"), 1): {
+        "text": "520d0f8ca3be6d5556ee20d3b5cbb0b1e650d07846393a71f0230dce05aea0cd",
+        "json": "d0cc7c1351be38f2b4e81c9545daf6316423687bb78876d663deddb7c510f48e",
+        "csv": "27f28c8ebd00a5e8118f18a209401087e5a921660ceeff4a066fbbac51864e43",
+        "markdown": "33526523e5e0dca78eeac724b2effca897cf198694b6f0fa2ed5a025198fdee8",
+    },
+    (("complement", "--word", "phi", "--weights", "2,5"), 0): {
+        "text": "105cb368758c899fecd5567a4a7eef0b01fcf9e525a237e982eeefff02a017e9",
+        "json": "b628908d68f95062697bea9257e0e10da22be7e388940c61bbc87605571e5951",
+        "csv": "ea0e29a52dd857e8ef7c1a21eb8d1891cbdce7fe24d3a07d1f986d5fcb5c06ae",
+        "markdown": "89e110687e4ee2e41abc0cec38db97e0dfd7acfe269e88c8f071e4f85e5a4d4b",
+    },
+    (("complement", "--word", "phi", "--weights", "5,6"), 0): {
+        "text": "ba06808b411c5b4b55415db8674e95fef21b2e1f955828114912bb4375d6de9a",
+        "json": "e698f12426e5dee2593c97bc8460c336c2a1bee89f7952eee8292455fbbd4d2a",
+        "csv": "3e3a70b7316fed12d88420a91a3fe409493b3d629d5b9b062710594ef67e5fb5",
+        "markdown": "22e7feffc0a07e7bfc849606e558e46ab7965dfdf08ed82efe09774995029926",
+    },
+    (("complement", "--word", "phi", "--weights", "7,8"), 0): {
+        "text": "e58478f4d84bc9fe8aedad8ab6497b27387c7deb162f3c4e29cd2e5233821a87",
+        "json": "3353ede6752f1666c2009a513a517657243db4f8e6f187460933e2dd183f14f7",
+        "csv": "5a760005933745892493baf3a3570665da0b4c8bd28faf018c4ba6c220b692f7",
+        "markdown": "1aee4455c95038191b59cd5e5c1246e572d1cbe67d3fd4006e371ef3d264109e",
+    },
+}
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("argv, code, fmt", [
+        (argv, code, fmt) for (argv, code), digests in PINNED_STDOUT.items()
+        for fmt in digests])
+    def test_stdout_sha256(self, capsys, argv, code, fmt):
+        got, out, _ = run(capsys, *argv, "--format", fmt)
+        assert got == code
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == PINNED_STDOUT[argv, code][fmt]
 
 
 class TestDeterminism:

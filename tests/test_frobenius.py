@@ -1,6 +1,7 @@
 """Weight maps, the two-coin problem, representability and witnesses."""
 
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -13,15 +14,17 @@ from frobwords.cli import main
 from frobwords.factors import (
     DESUBSTITUTION_TABLE_BUDGET,
     Certified,
+    ExplicitPrefix,
     MorphicCover,
     StabilizedDoubling,
     zero_envelope_table,
 )
 from frobwords.frobenius import (
     VALUE_MASK_BUDGET,
+    ComplementReport,
     Weights,
-    _envelope_mask,
-    _value_mask,
+    _run_chains,
+    _values_below,
     complement_below,
     pf_witnesses,
     representable_set,
@@ -29,10 +32,26 @@ from frobwords.frobenius import (
     sylvester_number,
 )
 from frobwords.ternary import decide_cofinite
-from frobwords.verify import MaxComplexityWord, classical_nonrepresentable
-from frobwords.words import FiniteWord, MorphicFixedPoint, PaperfoldingWord, WORDS
+from frobwords.verify import (
+    MaxComplexityWord,
+    _envelope_mask,
+    classical_nonrepresentable,
+)
+from frobwords.words import (
+    FiniteWord,
+    MorphicFixedPoint,
+    PaperfoldingWord,
+    WORDS,
+    WordGenerator,
+)
 
 PF, PHI, T = WORDS["pf"], WORDS["phi"], WORDS["t"]
+
+
+def examples(n):
+    """n Hypothesis examples under the default profile, five times as many
+    under the ci profile (tests/conftest.py)."""
+    return n * settings.default.max_examples // 100
 
 
 class TestWeights:
@@ -160,6 +179,66 @@ class TestComplementBelow:
         assert all(0 < v < 30 for v in report.complement)
 
 
+_REPORT_FIELDS = ("weights", "search_bound", "max_factor_length",
+                  "complement", "method")
+
+
+class TestComplementReport:
+    @pytest.mark.parametrize("g, weights, bound, want", [
+        (PHI, (3, 4), 100,
+         "ComplementReport(weights=(3, 4), search_bound=100, "
+         "max_factor_length=34, complement=(1, 2, 5, 9), "
+         "method='binary-envelope-interval')"),
+        (PF, (1, 1), 5,
+         "ComplementReport(weights=(1, 1), search_bound=5, "
+         "max_factor_length=5, complement=(), "
+         "method='binary-envelope-interval')"),
+        (T, (1, 2, 3), 20,
+         "ComplementReport(weights=(1, 2, 3), search_bound=20, "
+         "max_factor_length=20, complement=(), method='parikh-set-scan')"),
+    ])
+    def test_repr_of_the_dataclass(self, g, weights, bound, want):
+        # the repr the frozen dataclass this record replaced printed
+        for _ in range(2):  # a miss, then a hit
+            assert repr(complement_below(g, Weights(weights), bound)) == want
+
+    def test_fields_in_order(self):
+        report = ComplementReport(Weights((2, 3)), 7, 4, (1,), "m")
+        assert ComplementReport._fields == _REPORT_FIELDS
+        assert [getattr(report, f) for f in _REPORT_FIELDS] == [
+            (2, 3), 7, 4, (1,), "m"]
+        assert ComplementReport(weights=(2, 3), search_bound=7,
+                                max_factor_length=4, complement=(1,),
+                                method="m") == report
+
+    def test_read_only(self):
+        report = complement_below(PHI, Weights((3, 4)), 100)
+        for name in (*_REPORT_FIELDS, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(report, name, 1)
+        assert report.complement == (1, 2, 5, 9)
+
+    @settings(max_examples=examples(100), deadline=None)
+    @given(st.tuples(st.integers(1, 9), st.integers(1, 9)), st.integers(1, 10**6),
+           st.integers(1, 10**6), st.lists(st.integers(1, 99)).map(tuple),
+           st.text(max_size=8))
+    def test_record(self, weights, bound, max_len, complement, method):
+        report = ComplementReport(Weights(weights), bound, max_len, complement,
+                                  method)
+        fields = (weights, bound, max_len, complement, method)
+        # equal only to another report, hashed as the tuple of its fields
+        assert report == ComplementReport(*fields)
+        assert not report != ComplementReport(*fields)
+        assert report != fields and fields != report and not report == fields
+        assert hash(report) == hash(fields)
+        back = pickle.loads(pickle.dumps(report))
+        assert type(back) is ComplementReport and back == report
+        assert repr(back) == (
+            f"ComplementReport(weights={weights!r}, search_bound={bound!r}, "
+            f"max_factor_length={max_len!r}, complement={complement!r}, "
+            f"method={method!r})")
+
+
 # Request keys (generator, weights, max_len, src) that the memo property
 # draws from, so that one sequence repeats keys with bounds in random order.
 # An explicit max_len rejects the larger bounds, a None one grows with them.
@@ -177,20 +256,22 @@ MEMO_KEYS = [
 
 
 def memo_free_complement(g, weights, bound, max_len, src):
-    """complement_below's answer from one value mask, with no memo, or
-    the ValueError of its max_len or source check."""
+    """complement_below's answer from the run chains or value mask below
+    the bound, with no memo, or the ValueError of its max_len or source
+    check."""
     needed = -(-bound // min(weights))
     if max_len is not None and max_len < needed:
         return ValueError(f"need at least {needed}")
     try:
-        hit = _value_mask(g, Weights(weights), bound, max_len or needed, src)
+        missing = _values_below(g, Weights(weights), bound, max_len or needed,
+                                src, covered=False)
     except ValueError as exc:
         return exc
-    return tuple((np.flatnonzero(~hit[1:]) + 1).tolist())
+    return tuple(missing.tolist())
 
 
 class TestComplementMemo:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(MEMO_KEYS), st.integers(1, 400)),
                     min_size=1, max_size=12))
     def test_equals_memo_free_mask(self, queries):
@@ -205,7 +286,7 @@ class TestComplementMemo:
             assert report.complement == want
             assert report.search_bound == bound
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(MEMO_KEYS), st.integers(1, 400)),
                     min_size=1, max_size=6))
     def test_hit_equals_cold_call(self, queries):
@@ -239,7 +320,9 @@ class TestComplementMemo:
         g = MorphicFixedPoint()
         w = Weights((3, 4))
         complement_below(g, w, 300)
-        ceiling, nonvalues = frobenius._COMPLEMENT_MEMO[g][w, None, None]
+        ceiling, nonvalues, least, method = frobenius._COMPLEMENT_MEMO[g][
+            w, None, None]
+        assert (ceiling, least, method) == (300, 3, "binary-envelope-interval")
         assert complement_below(g, w, 300).complement is nonvalues
         assert complement_below(g, w, 6).complement == (1, 2, 5)
 
@@ -270,8 +353,8 @@ class TestComplementMemo:
             assert report.complement == memo_free_complement(
                 PHI, w, bound, 700, src)
         assert list(frobenius._COMPLEMENT_MEMO[g]) == [(w, 700, src)]
-        ceiling, nonvalues = frobenius._COMPLEMENT_MEMO[g][w, 700, src]
-        assert ceiling == 700 * 3 and nonvalues == (1, 2, 5, 9)
+        assert frobenius._COMPLEMENT_MEMO[g][w, 700, src] == (
+            700 * 3, (1, 2, 5, 9), 3, "binary-envelope-interval")
 
     def test_ceiling_within_the_span(self):
         # a max_len far past ceil(bound / 1000) does not buy a mask of
@@ -353,20 +436,20 @@ class TestValueMaskBudget:
 
 class TestClearCaches:
     def test_next_call_rebuilds(self, monkeypatch):
-        builds = {"envelope": 0, "mask": 0, "fib": 0, "triple": 0,
+        builds = {"envelope": 0, "values": 0, "fib": 0, "triple": 0,
                   "decision": 0}
 
         def counted(name, module, attr):
             fn = getattr(module, attr)
 
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 builds[name] += 1
-                return fn(*args)
+                return fn(*args, **kwargs)
 
             monkeypatch.setattr(module, attr, wrapper)
 
         counted("envelope", factors, "_desubstitution_envelopes")
-        counted("mask", frobenius, "_value_mask")
+        counted("values", frobenius, "_values_below")
         counted("fib", ternary, "_fib_factor_starts")
         counted("triple", ternary, "_new_triple")
         counted("decision", ternary, "_decide")
@@ -415,16 +498,18 @@ class TestPaperfoldingWitnesses:
     @pytest.mark.parametrize("a, b", [(4, 5), (4, 9), (5, 7)])
     def test_matches_per_target_loop(self, a, b):
         # every target of n = 1..10, and every integer below 500, against
-        # the per-target envelope loop the value mask replaced
+        # a per-target loop over the envelope
         results = pf_witnesses(a, b, range(1, 11))
         src = StabilizedDoubling(max_length=2**22)
         z_min, z_max = zero_envelope_table(PF, results[-1].target // a, src)
         assert [r.verified_nonrepresentable for r in results] == [
             not _representable_per_target(r.target, a, b, z_min, z_max)
             for r in results]
-        hit = _value_mask(PF, Weights((a, b)), 500, 500 // a, src)
-        assert hit.tolist() == [
-            _representable_per_target(v, a, b, z_min, z_max) for v in range(500)]
+        values = _values_below(PF, Weights((a, b)), 500, 500 // a, src,
+                               covered=True)
+        assert values.tolist() == [
+            v for v in range(500)
+            if _representable_per_target(v, a, b, z_min, z_max)]
 
     def test_hypothesis_guard(self):
         with pytest.raises(ValueError):
@@ -500,7 +585,7 @@ _coprime_pairs = st.one_of(st.just((1, 1)), st.tuples(
 
 
 class TestEnvelopeMask:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(_envelopes(), _coprime_pairs, st.data())
     def test_matches_progression_union(self, envelope, weights, data):
         z_min, z_max = envelope
@@ -509,3 +594,121 @@ class TestEnvelopeMask:
         got = _envelope_mask(z_min, z_max, a, b, bound)
         assert got.dtype == bool and got.shape == (bound,)
         assert got.tolist() == _progression_union(z_min, z_max, a, b, bound).tolist()
+
+
+class _Bits(WordGenerator):
+    """One finite binary string, read through ExplicitPrefix(len(bits))."""
+
+    family = "bits"
+
+    def __init__(self, bits):
+        super().__init__()
+        self.bits = np.array(bits, dtype=np.uint8)
+
+    def _build(self, n):
+        return self.bits[:n].copy()
+
+
+@st.composite
+def _window_law_envelopes(draw):
+    """Zero envelopes that obey the window law: the window extrema of a
+    random binary string, or a prefix of the pf, fib or phi table."""
+    word = draw(st.sampled_from(["bits", "pf", "fib", "phi"]))
+    if word == "bits":
+        bits = draw(st.lists(st.integers(0, 1), min_size=1, max_size=300))
+        g, src = _Bits(bits), ExplicitPrefix(len(bits))
+        n_max = draw(st.integers(1, len(bits)))
+    else:
+        g, src = WORDS[word], None
+        n_max = draw(st.integers(1, 400))
+    return zero_envelope_table(g, n_max, src)
+
+
+def _mask_answer(z_min, z_max, a, b, bound, covered):
+    """_run_chains' answer read off the mask oracle."""
+    mask = _envelope_mask(z_min, z_max, a, b, bound)
+    return (np.flatnonzero(mask) if covered
+            else np.flatnonzero(~mask[1:]) + 1).tolist()
+
+
+class TestRunChains:
+    @settings(max_examples=examples(200), deadline=None)
+    @given(_window_law_envelopes(), _coprime_pairs, st.booleans(), st.data())
+    def test_matches_the_mask(self, envelope, weights, covered, data):
+        z_min, z_max = envelope
+        a, b = weights
+        # bounds below and above len(z_min) * min(weights)
+        bound = data.draw(st.integers(1, max(a, b) * len(z_min) + 20))
+        got = _run_chains(z_min, z_max, a, b, bound, covered)
+        assert got.dtype == np.int64
+        assert got.tolist() == _mask_answer(z_min, z_max, a, b, bound, covered)
+
+    def test_equal_weights(self):
+        # (1, 1): d = 1, one class, and length n has the one value n
+        z_min, z_max = zero_envelope_table(PHI, 30)
+        assert _run_chains(z_min, z_max, 1, 1, 40, False).tolist() == list(
+            range(31, 40))
+        assert _run_chains(z_min, z_max, 1, 1, 40, True).tolist() == list(
+            range(1, 31))
+
+    @pytest.mark.parametrize("a, b", [(1, 12), (12, 1), (3, 11)])
+    @pytest.mark.parametrize("n_max", [1, 2, 5, 8])
+    def test_step_at_least_the_lengths(self, a, b, n_max):
+        # d = |a-b| >= n_max, so no chain has two lengths, for every bound
+        # from 1 to past the largest value
+        z_min, z_max = zero_envelope_table(PF, n_max)
+        for bound in range(1, max(a, b) * n_max + 3):
+            for covered in (False, True):
+                assert _run_chains(z_min, z_max, a, b, bound, covered).tolist() \
+                    == _mask_answer(z_min, z_max, a, b, bound, covered)
+
+    def test_memory_does_not_grow_with_the_step(self):
+        # d = 10**7 - 1 and 5 lengths: only the classes below the bound are
+        # read, where a grid of d columns (or the value mask's grid of d
+        # rows) would take hundreds of MiB
+        tracemalloc.start()
+        try:
+            report = complement_below(PaperfoldingWord(), Weights((1, 10**7)), 5)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
+        assert report.complement == (4,)  # pf has no factor 0000
+
+    def test_bound_1(self):
+        z_min, z_max = zero_envelope_table(PHI, 50)
+        for a, b in [(1, 1), (2, 3), (7, 2)]:
+            for covered in (False, True):
+                assert _run_chains(z_min, z_max, a, b, 1, covered).size == 0
+
+    @pytest.mark.parametrize("a, b, z_min, z_max", [
+        (1, 2, [0, 0], [0, 2]),        # z_max(2) - z_max(1) = b
+        (2, 1, [1, 0], [1, 1]),        # z_min(2) - z_min(1) = -b
+        (1, 3, [0, 0, 0], [0, 0, 3]),  # class mod 2: lengths 1 and 3
+    ])
+    def test_refuses_starts_that_do_not_rise(self, a, b, z_min, z_max):
+        z_min, z_max = np.array(z_min), np.array(z_max)
+        for covered in (False, True):
+            with pytest.raises(ValueError, match="breaks the window law"):
+                _run_chains(z_min, z_max, a, b, 20, covered)
+
+    def test_ends_need_not_rise(self):
+        # rising starts are all the kernel relies on: here the run end of
+        # length 3 falls below that of length 2, and the running maximum
+        # keeps 4 reached
+        z_min, z_max = np.array([0, 0, 3]), np.array([1, 2, 3])
+        assert _run_chains(z_min, z_max, 1, 2, 8, False).tolist() == [5, 6, 7]
+        assert _run_chains(z_min, z_max, 1, 2, 8, True).tolist() == [1, 2, 3, 4]
+        for covered in (False, True):
+            assert _run_chains(z_min, z_max, 1, 2, 8, covered).tolist() == (
+                _mask_answer(z_min, z_max, 1, 2, 8, covered))
+
+    def test_refusal_reaches_the_caller(self, monkeypatch):
+        # every second length gains two zeros, so for (1, 2) the run
+        # start 2n - z_max(n) stalls at each even n
+        monkeypatch.setattr(frobenius, "zero_envelope_table",
+                            lambda g, n, src: (np.zeros(n, dtype=np.int64),
+                                               np.arange(1, n + 1) // 2 * 2))
+        g = MorphicFixedPoint()
+        with pytest.raises(ValueError, match="breaks the window law"):
+            complement_below(g, Weights((1, 2)), 30)
+        assert g not in frobenius._COMPLEMENT_MEMO
