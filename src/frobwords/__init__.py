@@ -44,6 +44,7 @@ from .factors import (
     Certified,
     CERTIFIED_TABLE_BUDGET,
     DESUBSTITUTION_TABLE_BUDGET,
+    PARIKH_TABLE_BUDGET,
     default_source,
     parikh,
     parikh_set,
@@ -109,8 +110,8 @@ def clear_caches() -> None:
     """Empty every per-process cache, so the next call rebuilds: the cover
     strings, envelope tables and desubstitution constants of factors, the
     complement memo of frobenius, and the triple memo, decisions and
-    Fibonacci factor tables of ternary.  Each generator's own grow-only
-    prefix buffer is kept."""
+    Fibonacci factor enumerations of ternary.  Each generator's own
+    grow-only prefix buffer is kept."""
     factors._COVER_CACHE.clear()
     factors._ENVELOPE_CACHE.clear()
     factors._DESUBSTITUTION_CACHE.clear()
@@ -118,4 +119,3 @@ def clear_caches() -> None:
     ternary._TRIPLES.clear()
     ternary._DECISIONS.clear()
     ternary.enumerate_fib_factors.cache_clear()
-    ternary._fib_table = ternary._NO_TABLE

@@ -148,6 +148,7 @@ __all__ = [
     "Certified",
     "CERTIFIED_TABLE_BUDGET",
     "DESUBSTITUTION_TABLE_BUDGET",
+    "PARIKH_TABLE_BUDGET",
     "COVER_BUDGET",
     "default_source",
     "parikh",
@@ -264,6 +265,11 @@ CERTIFIED_TABLE_BUDGET = 2**16
 #: n/l and the result at every length; the phi table to 2^20 peaks at 19 MiB
 #: traced.  Table 1 with weights up to 8 needs 467,540.
 DESUBSTITUTION_TABLE_BUDGET = 2**20
+
+#: Most vectors a binary Parikh table may build, counted off its envelope
+#: table first.  pf to 2^16 lengths holds 743,960 and passes; phi to
+#: 20,000 lengths would hold 1,727,800, which took 283 MiB unbudgeted.
+PARIKH_TABLE_BUDGET = 2**20
 
 #: Most symbols a MorphicCover scan may build, checked first: the four phi
 #: strings take 39,062,500 at power 10 (windows up to 5^10), 195,312,500 at
@@ -782,7 +788,8 @@ def parikh_set_table(g: WordGenerator, n_max: int, src: FactorSource | None = No
 
     Under StabilizedDoubling the *whole table* must be unchanged across a
     doubling, so one scan budget covers the full sweep.  A binary table is
-    read off zero_envelope_table and shares its cache; under Certified a
+    read off zero_envelope_table and shares its cache, and is refused
+    before any vector is built past PARIKH_TABLE_BUDGET; under Certified a
     table of t is lifted from the Beatty table of fib.  Returns a list
     indexed by n-1.
     """
@@ -790,6 +797,11 @@ def parikh_set_table(g: WordGenerator, n_max: int, src: FactorSource | None = No
         src = default_source(g, n_max)
     if g.alphabet_size == 2:
         z_min, z_max = zero_envelope_table(g, n_max, src)
+        count = int((z_max - z_min).sum()) + n_max
+        if count > PARIKH_TABLE_BUDGET:
+            raise ValueError(
+                f"a Parikh table of {count} vectors to length {n_max} exceeds "
+                f"the budget PARIKH_TABLE_BUDGET = {PARIKH_TABLE_BUDGET} vectors")
         return [_binary_parikhs(n, lo, hi) for n, lo, hi in
                 zip(range(1, n_max + 1), z_min.tolist(), z_max.tolist())]
     if isinstance(src, Certified):

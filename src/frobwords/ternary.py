@@ -8,11 +8,10 @@ two-letter sequence F riding on the Fibonacci word, and whether the value
 set misses infinitely many integers reduces to a finite check: slide a
 window of fixed length l over F, and ask whether the window's interval of
 "reachable" integers is fully covered by its semi-images at both parities.
-The windows are the l+2 Fibonacci factors of length l+1, all found by one
-refinement of first-occurrence ids (_fib_factor_starts), which groups only
-the windows whose next letter departs from their factor's first
-occurrence.  Their count is the certificate.  The direct scan of t that
-checks the complements is in verify.
+The windows are the l+2 Fibonacci factors of length l+1, read by one pass
+of a dict over the windows of the 3(l+1)-symbol prefix
+(_fib_first_occurrences); their count is the certificate.  The direct scan
+of t that checks the complements is in verify.
 
 Every half-integer is carried as its doubled int: the kernels sum and
 compare plain ints from one per-triple record (_Triple, validated once and
@@ -28,7 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from typing import Sequence
 
-import numpy as np
 
 from .factors import ParikhVector
 from .frobenius import Weights
@@ -433,102 +431,43 @@ def decision_window_length(s) -> int:
     return _triple(s).l
 
 
-#: Cap, in symbols, on the scanned prefix and on the (L+1)*L symbols of the
-#: length-L factors in a Fibonacci factor enumeration.
+#: Cap, in symbols, on the (L+1)*L symbols of the length-L factors in a
+#: Fibonacci factor enumeration.
 FACTOR_BUDGET = 2**22
 
 
-#: The table of no lengths, as _fib_factor_starts returns them.
-_NO_TABLE = (None, (), None)
+def _fib_first_occurrences(n: int) -> dict:
+    """The n+1 Fibonacci factors of length n, as bytes, each mapped to the
+    0-based start of its first occurrence, in order of first occurrence.
 
-
-def _fib_factor_starts(n_max: int, table: tuple = _NO_TABLE) -> tuple:
-    """The scanned Fibonacci prefix ``text``, for each length n up to n_max
-    the ascending 0-based starts of the first occurrences of its n+1
-    factors (the factor at start i is text[i:i+n]), and the ids of the
-    length-n_max windows.
-
-    The length-n window at j has as id the first position p of its factor.
-    Growing it by x[j+n], it keeps p when that letter is x[p+n], the letter
-    after the first occurrence, since no earlier window holds even the
-    shorter factor.  Only the windows whose letter differs move: in a
-    Sturmian word those of the one right-special factor.  They are grouped
-    by (p, letter) in a 1-D unique, and each group's first window is its
-    new id.  The last length-n window drops out of the longer windows; it
-    takes a factor with it when it is that factor's first occurrence.
-    Finding exactly n+1 ids certifies the prefix; fewer double it from
-    32*n_max.
-
-    ``table``, an earlier result, is resumed: the refinement goes on over
-    its text from its ids at its longest length, so a sweep through rising
-    lengths does not refine the short ones again.  A certificate holds over
-    any prefix, so the starts are those of a fresh call.  If that text falls
-    short at some length, the refinement starts again from length 1 with
-    the scan doubled, to at least 32*n_max.
+    The windows of the 3n-symbol prefix hold them all: the shortest prefix
+    that does is n + F_(k+1) - 1 symbols for F_k <= n < F_(k+1), at most
+    3n - 1.  Finding exactly n+1 factors is the certificate; any other
+    count raises.
     """
-    if n_max < 1:
+    if n < 1:
         raise ValueError("factor length must be >= 1")
-    if (n_max + 1) * n_max > FACTOR_BUDGET:
+    if (n + 1) * n > FACTOR_BUDGET:
         raise ValueError(
-            f"the {n_max + 1} Fibonacci factors of length {n_max} exceed the "
+            f"the {n + 1} Fibonacci factors of length {n} exceed the "
             "2^22-symbol enumeration budget")
-    text, starts, ids = table
-    if starts:
-        # copies, so a failed call leaves the earlier table intact
-        scan, starts, ids = len(text), list(starts), ids.copy()
-        first = starts[-1]
-    else:
-        scan = 32 * n_max
-    while True:
-        if not starts:
-            text = WORDS["fib"].prefix_array(scan)
-            ids = np.zeros(scan + 1, dtype=np.intp)  # the empty windows
-            first, starts = np.zeros(1, dtype=np.intp), []
-        for n in range(len(starts) + 1, n_max + 1):
-            lost = int(ids[scan - n + 1] == scan - n + 1)
-            ids = ids[: scan - n + 1]
-            letters = text[n - 1 :]
-            moved = np.flatnonzero(text[ids + (n - 1)] != letters)
-            _, group, inverse = np.unique(2 * ids[moved] + letters[moved],
-                                          return_index=True, return_inverse=True)
-            ids[moved] = moved[group][inverse]
-            first = np.sort(np.concatenate((first[: len(first) - lost],
-                                            moved[group])))
-            if len(first) != n + 1:
-                break
-            starts.append(first)
-        else:
-            return text, starts, ids
-        if len(first) > n + 1 or scan >= FACTOR_BUDGET:
-            raise RuntimeError(
-                f"{len(first)} distinct Fibonacci factors of length {n} in a "
-                f"{scan}-symbol prefix; Sturmian complexity is exactly {n + 1}")
-        scan, starts = max(2 * scan, 32 * n_max), []
-
-
-#: The longest factor length whose enumeration fits FACTOR_BUDGET.
-_MAX_FACTOR_LENGTH = (math.isqrt(4 * FACTOR_BUDGET + 1) - 1) // 2
-
-# The longest enumeration so far, as _fib_factor_starts returns it; it only
-# grows, at least doubling, each time from where it stopped.
-_fib_table = _NO_TABLE
+    text = WORDS["fib"].prefix_array(3 * n).tobytes()
+    first: dict = {}
+    for i in range(2 * n + 1):
+        first.setdefault(text[i : i + n], i)
+    if len(first) != n + 1:
+        raise RuntimeError(
+            f"{len(first)} distinct Fibonacci factors of length {n} in a "
+            f"{3 * n}-symbol prefix; Sturmian complexity is exactly {n + 1}")
+    return first
 
 
 @lru_cache(maxsize=None)
 def enumerate_fib_factors(length: int) -> tuple:
     """All distinct length-``length`` factors of the Fibonacci word with their
     first occurrence index (1-based), in order of first occurrence."""
-    global _fib_table
-    cached = len(_fib_table[1])
-    if not 0 < length <= cached:
-        # Grow to at least twice the cached length; a bad length raises there.
-        _fib_table = _fib_factor_starts(
-            length if length < 1 else max(length, min(2 * cached, _MAX_FACTOR_LENGTH)),
-            _fib_table)
-    text, starts, _ = _fib_table
-    starts = starts[length - 1].tolist()
-    letters = text[: starts[-1] + length].tolist()  # starts ascend
-    return tuple((i + 1, tuple(letters[i : i + length])) for i in starts)
+    return tuple((i + 1, tuple(factor))
+                 for factor, i in _fib_first_occurrences(length).items())
 
 
 def _decide(t: _Triple) -> TernaryDecision:

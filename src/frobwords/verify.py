@@ -139,8 +139,9 @@ def _envelope_mask(z_min, z_max, a: int, b: int, bound: int) -> np.ndarray:
     one run of consecutive class members.  The classes are laid out as the
     rows of a grid whose last column collects the runs that reach past
     bound; each run adds +1 at its first member and -1 after its last, and
-    one cumsum per row turns the counts into the mask, 16 bytes per
-    integer below bound at its peak.
+    one in-place cumsum per row turns the counts into the mask.  A count
+    never exceeds the number of lengths, so the grid is int32: 4 bytes per
+    integer below bound, and the mask 2 more.
     """
     step = abs(a - b) or 1  # a == b: one value per length, one class
     n = np.arange(1, len(z_min) + 1, dtype=np.int64)
@@ -152,11 +153,12 @@ def _envelope_mask(z_min, z_max, a: int, b: int, bound: int) -> np.ndarray:
     cols = -(-bound // step)  # members of class 0 below bound
     width = cols + 1
     row = lo % step * width
-    runs = np.bincount(row + lo // step, minlength=step * width)
-    runs -= np.bincount(row + np.minimum(hi // step + 1, cols),
-                        minlength=step * width)
-    runs = runs.reshape(step, width).cumsum(axis=1)[:, :cols]
-    return (runs > 0).T.ravel()[:bound]
+    runs = np.zeros(step * width, dtype=np.int32)
+    np.add.at(runs, row + lo // step, 1)
+    np.add.at(runs, row + np.minimum(hi // step + 1, cols), -1)
+    runs = runs.reshape(step, width)
+    np.cumsum(runs, axis=1, out=runs)
+    return (runs[:, :cols] > 0).T.ravel()[:bound]
 
 
 def _fills_envelope(g: WordGenerator, n_max: int, src) -> bool:
@@ -471,11 +473,11 @@ def _ternary_checks(quick: bool) -> list[CheckResult]:
     t_table = parikh_set_table(_T, max(n_ll, n_bal, n_g, n_scan),
                                StabilizedDoubling())
 
-    text, fib_starts, _ = ternary._fib_factor_starts(n_ll)
     ok_lemma_l = True
-    for n, starts in enumerate(fib_starts, start=1):
+    for n in range(1, n_ll + 1):
         row = t_table[n - 1]
-        mat = text[starts[:, None] + np.arange(n)]
+        mat = np.frombuffer(b"".join(ternary._fib_first_occurrences(n)),
+                            dtype=np.uint8).reshape(n + 1, n)
         images = np.union1d(
             _row_codes(words._replace_alternate_zeros_array(mat, "second")),
             _row_codes(words._replace_alternate_zeros_array(mat, "first")))

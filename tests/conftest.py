@@ -1,8 +1,9 @@
 """Shared Hypothesis settings.
 
 ``pytest --hypothesis-profile=ci`` runs the properties that size their
-runs with ``examples`` (tests/test_frobenius.py) at five times the
-examples they run by default.
+runs with ``examples`` (tests/test_frobenius.py), and those that take the
+profile's count (the Fibonacci factor property of tests/test_ternary.py),
+at five times the examples they run by default.
 """
 
 from hypothesis import settings

@@ -20,6 +20,7 @@ from frobwords.factors import (
     _window_scan,
     CERTIFIED_TABLE_BUDGET,
     COVER_BUDGET,
+    PARIKH_TABLE_BUDGET,
     Certified,
     ExplicitPrefix,
     FactorNotFoundError,
@@ -131,6 +132,23 @@ class TestParikhSet:
         table = parikh_set_table(T, 40)
         for n in (1, 7, 23, 40):
             assert table[n - 1] == parikh_set(T, n)
+
+    def test_binary_table_budget(self, monkeypatch):
+        """The vector count is read off the envelope table; past the budget
+        the table is refused before any vector is built."""
+        built = []
+        monkeypatch.setattr(factors, "_binary_parikhs",
+                            lambda n, lo, hi: built.append(n) or ())
+        z_min, z_max = zero_envelope_table(PHI, 20_000)
+        assert int((z_max - z_min).sum()) + 20_000 == 1_727_800
+        for call in (parikh_set_table, is_balanced):
+            with pytest.raises(ValueError, match="PARIKH_TABLE_BUDGET = 1048576"):
+                call(PHI, 20_000)
+        assert built == []
+        # pf to 2^16 holds 743,960 vectors and is accepted
+        assert len(parikh_set_table(PF, 2**16, Certified())) == 2**16
+        z_min, z_max = zero_envelope_table(PF, 2**16, Certified())
+        assert int((z_max - z_min).sum()) + 2**16 == 743_960 <= PARIKH_TABLE_BUDGET
 
     @pytest.mark.parametrize("src", [None, StabilizedDoubling()],
                              ids=["default", "doubling"])

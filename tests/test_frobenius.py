@@ -450,7 +450,7 @@ class TestClearCaches:
 
         counted("envelope", factors, "_desubstitution_envelopes")
         counted("values", frobenius, "_values_below")
-        counted("fib", ternary, "_fib_factor_starts")
+        counted("fib", ternary, "_fib_first_occurrences")
         counted("triple", ternary, "_new_triple")
         counted("decision", ternary, "_decide")
 
@@ -468,7 +468,7 @@ class TestClearCaches:
         assert not factors._ENVELOPE_CACHE and not factors._COVER_CACHE
         assert not frobenius._COMPLEMENT_MEMO
         assert not ternary._TRIPLES and not ternary._DECISIONS
-        assert ternary._fib_table == ternary._NO_TABLE
+        assert ternary.enumerate_fib_factors.cache_info().currsize == 0
         assert requests() == {name: 2 for name in builds}
 
 

@@ -1,5 +1,6 @@
 """Exact half-integer machinery and the ternary cofiniteness decision."""
 
+import functools
 import math
 import pickle
 import random
@@ -395,33 +396,37 @@ class TestIntegerKernels:
         assert all(g_values(n, w) == {v.dot(w) for v in table[n - 1]}
                    for n in range(2, 301))
 
-    def test_factor_table_grows_by_doubling(self, monkeypatch):
-        passes = []
-        one_pass = ternary._fib_factor_starts
+    def test_each_length_is_enumerated_once(self, monkeypatch):
+        calls = []
+        one_length = ternary._fib_first_occurrences
 
-        def counted(n_max, table):
-            passes.append(n_max)
-            return one_pass(n_max, table)
+        def counted(n):
+            calls.append(n)
+            return one_length(n)
 
-        monkeypatch.setattr(ternary, "_fib_factor_starts", counted)
-        monkeypatch.setattr(ternary, "_fib_table", ternary._NO_TABLE)
-        enumerate_fib_factors.cache_clear()
-        try:
-            assert all(len(enumerate_fib_factors(n)) == n + 1
-                       for n in range(1, 301))
-            assert passes == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
-            with pytest.raises(ValueError, match=">= 1"):
-                enumerate_fib_factors(0)
-            with pytest.raises(ValueError, match=r"2\^22-symbol"):
-                enumerate_fib_factors(2048)
-        finally:
+        monkeypatch.setattr(ternary, "_fib_first_occurrences", counted)
+        rising = [*range(1, 301), *range(1, 301)]
+        shuffled = rising[:]
+        random.Random(7).shuffle(shuffled)
+        for order in (rising, shuffled):
             enumerate_fib_factors.cache_clear()
+            calls.clear()
+            try:
+                assert all(len(enumerate_fib_factors(n)) == n + 1 for n in order)
+                assert calls == list(dict.fromkeys(order))
+                with pytest.raises(ValueError, match=">= 1"):
+                    enumerate_fib_factors(0)
+                with pytest.raises(ValueError, match=r"2\^22-symbol"):
+                    enumerate_fib_factors(2048)
+            finally:
+                enumerate_fib_factors.cache_clear()
 
 
-# The per-length sort the first-occurrence refinement replaced, kept as the
-# reference: one 1-D unique over the code 2*id + letter of every window.
-def ref_fib_factor_starts(n_max):
-    scan = 32 * n_max
+# The per-length sort of an earlier first-occurrence refinement, kept as the
+# reference: one 1-D unique over the code 2*id + letter of every window of a
+# scan-symbol prefix (32*n_max by default), doubled while it falls short.
+def ref_fib_factor_starts(n_max, scan=None):
+    scan = scan or 32 * n_max
     while True:
         text = ternary.WORDS["fib"].prefix_array(scan)
         ids, starts = np.zeros(scan + 1, dtype=np.int64), []
@@ -437,6 +442,11 @@ def ref_fib_factor_starts(n_max):
         if len(first) > n + 1 or scan >= ternary.FACTOR_BUDGET:
             raise RuntimeError(f"{len(first)} distinct factors of length {n}")
         scan *= 2
+
+
+@functools.lru_cache(maxsize=None)
+def ref_table_500():
+    return ref_fib_factor_starts(500)
 
 
 class _StandardSturmian:
@@ -455,66 +465,78 @@ class _StandardSturmian:
 
 
 class TestFactorRefinement:
-    def assert_same(self, n_max):
-        text, starts, _ = ternary._fib_factor_starts(n_max)
-        ref_text, ref_starts = ref_fib_factor_starts(n_max)
-        assert text.tobytes() == ref_text.tobytes()
-        assert len(starts) == len(ref_starts) == n_max
-        for got, want in zip(starts, ref_starts):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        return text
+    @staticmethod
+    def assert_same(n, ref=None):
+        text, starts = ref or ref_table_500()
+        first = ternary._fib_first_occurrences(n)
+        assert list(first.values()) == starts[n - 1].tolist()
+        assert list(first) == [text[i : i + n].tobytes()
+                               for i in starts[n - 1].tolist()]
 
     def test_equals_unique_reference(self):
-        for n_max in [*range(1, 65), 500]:
-            self.assert_same(n_max)
+        for n in [*range(1, 65), 500]:
+            self.assert_same(n)
 
-    def test_doubles_a_short_scan(self, monkeypatch):
-        monkeypatch.setattr(ternary, "WORDS", {"fib": _StandardSturmian(40)})
-        # 0^40 first ends at index 1599, past 32 * 40
-        for n_max, scan in ((1, 64), (2, 64), (39, 1248), (40, 2560), (41, 2624)):
-            assert len(self.assert_same(n_max)) == scan
-        # In the first 64 symbols 0^63 1, the length-1 window of the only 1
-        # is the last one, and the factor 1 drops out at length 2.
-        monkeypatch.setattr(ternary, "WORDS", {"fib": _StandardSturmian(64)})
-        assert len(self.assert_same(2)) == 128
+    @settings(deadline=None)
+    @given(st.integers(1, 500))
+    def test_equals_reference_at_any_length(self, n):
+        self.assert_same(n)
 
-    def test_resumed_tables_equal_fresh_ones(self):
-        fresh_text, fresh, _ = ternary._fib_factor_starts(500)
-        table = ternary._NO_TABLE
-        # the 32-symbol text of length 1 serves up to 8 and falls short at
-        # 13 on the way to 16, where the refinement starts again on 32 * 16
-        # symbols; those serve up to 100 but not 500
-        for n_max, scan in ((1, 32), (2, 32), (8, 32), (16, 512), (100, 512),
-                            (500, 16000)):
-            table = ternary._fib_factor_starts(n_max, table)
-            text, starts, _ = table
-            assert len(text) == scan and len(starts) == n_max
-            assert text.tobytes() == fresh_text[:scan].tobytes()
-            for got, want in zip(starts, fresh):
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    def test_prefix_length_formula(self):
+        """The shortest prefix holding every factor of length n is
+        n + F_(k+1) - 1 symbols for F_k <= n < F_(k+1): under 3n, and
+        under 2.618n."""
+        _, starts = ref_fib_factor_starts(2047, scan=3 * 2047)
+        fib = [1, 2]
+        while fib[-1] <= 2047:
+            fib.append(fib[-1] + fib[-2])
+        for n, first in enumerate(starts, start=1):
+            following = next(f for f in fib if f > n)
+            prefix = int(first[-1]) + n
+            assert prefix == n + following - 1, n
+            assert prefix <= 3 * n - 1 and 1000 * prefix <= 2618 * n, n
 
-    def test_failed_resume_keeps_the_table(self, monkeypatch):
-        table = ternary._fib_factor_starts(4)
-        ids = table[2].copy()
-        monkeypatch.setattr(ternary, "WORDS", {"fib": WORDS["pf"]})
-        with pytest.raises(RuntimeError):
-            ternary._fib_factor_starts(500, table)
-        assert table[2].tobytes() == ids.tobytes() and len(table[1]) == 4
+    def test_short_prefix_raises(self, monkeypatch):
+        # 0^40 first ends at index 1599, far past 3 * 40; a 3n-symbol
+        # prefix of this word holds every factor of length 39, but only 40
+        # of the 41 of length 40, and of length 1 only the letter 0.
+        sturmian = _StandardSturmian(40)
+        monkeypatch.setattr(ternary, "WORDS", {"fib": sturmian})
+        for n in (1, 40, 41):
+            with pytest.raises(RuntimeError,
+                               match=f"Sturmian complexity is exactly {n + 1}"):
+                ternary._fib_first_occurrences(n)
+        ref = ref_fib_factor_starts(39)
+        assert len(ref[0]) == 39 * 32
+        self.assert_same(39, ref)
 
-    def test_sweeps_pickle_as_fresh_tables(self, monkeypatch):
+    def test_failed_call_caches_nothing(self, monkeypatch):
+        enumerate_fib_factors.cache_clear()
+        try:
+            expected = enumerate_fib_factors(4)
+            monkeypatch.setattr(ternary, "WORDS", {"fib": WORDS["pf"]})
+            with pytest.raises(RuntimeError):
+                enumerate_fib_factors(5)
+            assert enumerate_fib_factors.cache_info().currsize == 1
+            monkeypatch.undo()
+            assert enumerate_fib_factors(4) is expected
+            self.assert_same(5)
+        finally:
+            enumerate_fib_factors.cache_clear()
+
+    def test_sweeps_pickle_as_fresh_tables(self):
         """enumerate_fib_factors in a cold sweep, rising and in a shuffled
-        order, pickles as the factors read off one fresh table."""
-        text, fresh, _ = ternary._fib_factor_starts(500)
+        order, pickles as the factors read off one reference table."""
+        text, starts = ref_table_500()
 
         def expected(n):
             return tuple((i + 1, tuple(text[i:i + n].tolist()))
-                         for i in fresh[n - 1].tolist())
+                         for i in starts[n - 1].tolist())
 
         lengths = [*range(1, 121), 250, 499, 500]
         shuffled = lengths[:]
         random.Random(5).shuffle(shuffled)
         for order in (lengths, shuffled):
-            monkeypatch.setattr(ternary, "_fib_table", ternary._NO_TABLE)
             enumerate_fib_factors.cache_clear()
             try:
                 for n in order:
@@ -525,8 +547,8 @@ class TestFactorRefinement:
 
     def test_non_sturmian_text_raises(self, monkeypatch):
         monkeypatch.setattr(ternary, "WORDS", {"fib": WORDS["pf"]})
-        with pytest.raises(RuntimeError, match="Sturmian complexity is exactly 3"):
-            ternary._fib_factor_starts(5)
+        with pytest.raises(RuntimeError, match="Sturmian complexity is exactly"):
+            ternary._fib_first_occurrences(5)
         with pytest.raises(RuntimeError):
             ref_fib_factor_starts(5)
 
