@@ -369,6 +369,16 @@ def _scan_source(g: WordGenerator, lengths: Sequence[int], src: FactorSource) ->
     already fixes (``_hull_step``).  The result is accepted once a doubling
     leaves it unchanged, and StabilizationError is raised if the cap comes
     first.
+
+    A binary table whose initial length L is at least _FIRST_SCAN_MIN does
+    not scan every length over the whole L-symbol prefix.  It scans them
+    over the first short = max(n_max, L // _FIRST_SCAN_DIVISOR) symbols,
+    then takes one ``_hull_step`` with the tail prefix[short - n_max + 1 : L],
+    which holds every window that ends past short.  That step holds for
+    any previous prefix and any tail, so the table over L is the full
+    scan's, and the doubling from L asks for the same prefixes and stops
+    where it did.  When that step leaves the table unchanged, the first
+    doubling reuses its settled lengths, since their bounds are the same.
     """
     if not lengths or lengths[0] < 1:
         raise ValueError("window length must be >= 1")
@@ -393,12 +403,19 @@ def _scan_source(g: WordGenerator, lengths: Sequence[int], src: FactorSource) ->
             )
         binary_table = k == 2 and len(lengths) == n_max
         merge = _hull if k == 2 else _union
-        previous = scan([g.prefix_array(length)])
+        short = max(n_max, length // _FIRST_SCAN_DIVISOR)
+        settled = None
+        if binary_table and short < length and length >= _FIRST_SCAN_MIN:
+            prefix = g.prefix_array(length)
+            previous, settled = _hull_step(scan([prefix[:short]]),
+                                           prefix[short - n_max + 1:])
+        else:
+            previous = scan([g.prefix_array(length)])
         while 2 * length <= src.max_length:
             tail = g.prefix_array(2 * length)[length - n_max + 1:]
             length *= 2
             if binary_table:
-                current = _hull_step(previous, tail)
+                current, settled = _hull_step(previous, tail, settled)
             else:
                 current = tuple(map(merge, previous, scan([tail])))
             if current == previous:
@@ -446,10 +463,13 @@ def _split_bounds(
     return bounds[0], bounds[1]
 
 
-def _hull_step(previous: tuple, tail: np.ndarray) -> tuple:
+def _hull_step(previous: tuple, tail: np.ndarray, settled=None) -> tuple:
     """The binary table for lengths 1..n_max over the prefix that ends with
     tail, from ``previous``, the table over the prefix before tail; tail
-    starts n_max - 1 symbols before the new part.
+    starts n_max - 1 symbols before the new part.  Returns that table and,
+    when it equals previous, the settled lengths (below), which are then
+    the table's own; else None.  ``settled`` passes those of previous if
+    they are known, so its bounds are not computed again.
 
     Write P for previous and C for the result, so C(n) = _hull(P(n), the
     row of tail at n), and C(n) contains P(n).  Take n >= 2 with
@@ -457,7 +477,8 @@ def _hull_step(previous: tuple, tail: np.ndarray) -> tuple:
     C(a) = P(a) for every a < n.  The split bounds hold over the longer
     prefix as well, so z_max of C(n) is at most the least
     z_max(a) + z_max(n-a) over C, which is that over P, which is z_max of
-    P(n); likewise for z_min.  So C(n) = P(n) without a scan.
+    P(n); likewise for z_min.  So C(n) = P(n) without a scan.  Nothing here
+    asks how long the prefix before tail is, or how long tail is.
 
     The first pass scans every length whose row is not at its bounds,
     length 1 among them.  If no scanned row changed, every skipped row is
@@ -467,24 +488,42 @@ def _hull_step(previous: tuple, tail: np.ndarray) -> tuple:
     every length, so the doubling stops where a full rescan stops.
     """
     n_max = len(previous)
-    z_min, z_max = np.array(previous, dtype=np.int32).T
-    lo_bound, hi_bound = _split_bounds(z_min, z_max)
-    settled = ((z_min == lo_bound) & (z_max == hi_bound)).tolist()
+    if settled is None:
+        z_min, z_max = np.array(previous, dtype=np.int32).T
+        lo_bound, hi_bound = _split_bounds(z_min, z_max)
+        settled = ((z_min == lo_bound) & (z_max == hi_bound)).tolist()
     current = list(previous)
     todo = [n for n in range(1, n_max + 1) if not settled[n - 1]]
     for n, row in zip(todo, _window_scan([tail], todo, 2)):
         current[n - 1] = _hull(previous[n - 1], row)
-    changed = next((n for n in todo if current[n - 1] != previous[n - 1]), n_max)
+    changed = next((n for n in todo if current[n - 1] != previous[n - 1]), None)
+    if changed is None:
+        return previous, settled
     rest = [n for n in range(changed + 1, n_max + 1) if settled[n - 1]]
     if rest:
         for n, row in zip(rest, _window_scan([tail], rest, 2)):
             current[n - 1] = _hull(previous[n - 1], row)
-    return tuple(current)
+    return tuple(current), None
 
 
 # ---------------------------------------------------------------------------
 # Window scans (numpy kernels)
 # ---------------------------------------------------------------------------
+
+#: A binary doubling table whose initial length L is at least
+#: _FIRST_SCAN_MIN scans every length over the first L // _FIRST_SCAN_DIVISOR
+#: symbols only, and reaches L by one hull step (``_scan_source``).  At the
+#: default L = 64 * n_max (warm, prefix prebuilt, medians of 9, 2 cores,
+#: numpy 2.4), the full scan and then a start from a quarter, an eighth and
+#: a sixteenth of L took: pf to 1025 11.0, 8.7, 8.0, 11.8 ms; pf to 2000
+#: 34.5, 20.9, 19.3, 29.1 ms; phi to 1025 11.2, 9.0, 8.3, 14.0 ms; fib to
+#: 2000 29.6, 14.0, 11.5, 9.9 ms.  A sixteenth is too short for pf and phi,
+#: whose rows then change in the tail.  Below L = 2**16 the kernel's fixed
+#: cost per length, about 2.5 us or a scan of 27,000 symbols, outweighs what
+#: an eighth saves: phi to 800 went from 8.2 to 9.7 ms, the staircase word
+#: of verify to 300 from 4.1 to 5.0 ms.
+_FIRST_SCAN_DIVISOR = 8
+_FIRST_SCAN_MIN = 2**16
 
 #: Symbols per block of the window kernel, so a scan holds O(n_max + block)
 #: sums however long its strings are.  parikh_set(pf, 2^k) for k = 1..14

@@ -397,6 +397,9 @@ class TestIntegerKernels:
                    for n in range(2, 301))
 
     def test_each_length_is_enumerated_once(self, monkeypatch):
+        # a budget that holds every length to 300 at once (9,090,600
+        # symbols); test_symbol_budget_evicts covers the default one
+        monkeypatch.setattr(ternary, "FACTOR_CACHE_BUDGET", 2**24)
         calls = []
         one_length = ternary._fib_first_occurrences
 
