@@ -52,6 +52,12 @@ from frobwords.words import (
 
 PF, FIB, PHI, T = WORDS["pf"], WORDS["fib"], WORDS["phi"], WORDS["t"]
 
+
+def examples(n):
+    """n Hypothesis examples under the default profile, five times as many
+    under the ci profile (tests/conftest.py)."""
+    return n * settings.default.max_examples // 100
+
 # Uniform binary morphisms prolongable on the seed 0.
 TEST_MORPHISMS = [
     ("01", "10"),        # Thue-Morse
@@ -421,7 +427,7 @@ def doubling_answers(g, n_max):
 
 
 class TestIncrementalDoubling:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(st.sampled_from([PF, FIB, T, PHI, STAIRCASE, MARKED, ZEROS]),
            st.integers(1, 150),
            st.one_of(st.none(), st.integers(1, 4000)),
@@ -437,10 +443,23 @@ class TestIncrementalDoubling:
     @example(PF, 40, 2, 9)
     @example(PHI, 150, 1, 9)
     @example(MARKED, 40, 1, 9)                 # ternary: no skip
+    # rows change between the eighth of the initial length and all of it
+    @example(STAIRCASE, 100, 4000, 3)
+    @example(STAIRCASE, 150, 2**16, 1)         # at the least length that starts so
+    @example(PHI, 150, 2**16, 2)
+    @example(MARKED, 60, 4000, 3)              # ternary: a full first scan
+    # the eighth is shorter than n_max: the first scan is over n_max symbols
+    @example(PF, 100, 300, 4)
+    @example(STAIRCASE, 50, 120, 6)
+    # short == length: scanned whole, as before
+    @example(FIB, 150, 150, 3)
+    @example(PHI, 100, 50, 3)
+    @example(STAIRCASE, 8, 8, 9)
     def test_equals_full_rescan(self, g, n_max, initial, doublings):
         """The answer, and the longest prefix asked for, are those of the
         loop that rescans the whole prefix at every doubling; the cap
-        allows at most ``doublings`` of them."""
+        allows at most ``doublings`` of them.  Each source is run as it is
+        and with every initial length starting from an eighth of it."""
         cap = max(initial or 64 * n_max, n_max) << doublings
         src = StabilizedDoubling(initial_length=initial, max_length=cap)
         for answer in doubling_answers(g, n_max):
@@ -448,15 +467,20 @@ class TestIncrementalDoubling:
                 stop = full_rescan_stop(
                     n_max, src, lambda length: answer(ExplicitPrefix(length)))
             except StabilizationError as exc:
-                with pytest.raises(StabilizationError) as got:
-                    answer(src)
-                assert str(got.value) == str(exc)
+                for least in (factors._FIRST_SCAN_MIN, 1):
+                    with mock.patch.object(factors, "_FIRST_SCAN_MIN", least), \
+                            pytest.raises(StabilizationError) as got:
+                        answer(src)
+                    assert str(got.value) == str(exc)
                 continue
-            with mock.patch.object(g, "prefix_array",
-                                   wraps=g.prefix_array) as prefix_array:
-                got = answer(src)
-            assert got == answer(ExplicitPrefix(stop))
-            assert max(c.args[0] for c in prefix_array.call_args_list) == stop
+            want = answer(ExplicitPrefix(stop))
+            for least in (factors._FIRST_SCAN_MIN, 1):
+                with mock.patch.object(factors, "_FIRST_SCAN_MIN", least), \
+                        mock.patch.object(g, "prefix_array",
+                                          wraps=g.prefix_array) as prefix_array:
+                    got = answer(src)
+                assert got == want
+                assert max(c.args[0] for c in prefix_array.call_args_list) == stop
 
     def test_fills_envelope_scans_on_its_own(self, monkeypatch):
         """The oracle rescans whole prefixes itself under doubling; with
@@ -473,21 +497,60 @@ class TestIncrementalDoubling:
         assert verify._fills_envelope(STAIRCASE, 40, src)
         assert verify._fills_envelope(STAIRCASE, 40, ExplicitPrefix(4000))
 
-    def test_length_one_is_never_skipped(self):
+    def test_length_one_is_never_skipped(self, monkeypatch):
         """Over a prefix of ones every row is (0, 0) and every row n >= 2
         is at its split bounds; only the scan of length 1 sees the first
-        zero, and its change sends every longer length to the rescan."""
+        zero, and its change sends every longer length to the rescan.  An
+        initial length of 32 is below _FIRST_SCAN_MIN, so the first scan
+        reads all 32 symbols; with the least length lowered it reads 5."""
         g = OnesThenZeros()
         src = StabilizedDoubling(initial_length=32, max_length=2**10)
+        want = [a.tolist() for a in _scan_envelope_table(g, 5, ExplicitPrefix(128))]
+        for least, calls in (
+                (factors._FIRST_SCAN_MIN, [
+                    ([1, 2, 3, 4, 5], 32),    # the prefix of 32, only ones
+                    ([1], 36), ([2, 3, 4, 5], 36),  # the tail to 64 holds
+                                                    # the first zero
+                    ([1], 68)]),              # to 128, where nothing changes
+                (1, [
+                    ([1, 2, 3, 4, 5], 5),     # the prefix of 5 = n_max
+                    ([1], 31),                # the tail to 32, only ones
+                    ([1], 36), ([2, 3, 4, 5], 36),  # to 64, the first zero
+                    ([1], 68)])):             # to 128
+            monkeypatch.setattr(factors, "_FIRST_SCAN_MIN", least)
+            with mock.patch.object(factors, "_window_scan",
+                                   wraps=factors._window_scan) as kernel:
+                got = [a.tolist() for a in _scan_envelope_table(g, 5, src)]
+            assert got == want
+            assert [(list(c.args[1]), len(c.args[0][0]))
+                    for c in kernel.call_args_list] == calls
+
+    def test_first_scan_reads_an_eighth(self):
+        """The pf table to 1025 starts at 64 * 1025 symbols: every length
+        is scanned over the first 8200 only, and the hull step reads the
+        rest of the initial length, 1024 symbols back from 8200."""
+        src = StabilizedDoubling(max_length=2**22)
         with mock.patch.object(factors, "_window_scan",
                                wraps=factors._window_scan) as kernel:
-            got = [a.tolist() for a in _scan_envelope_table(g, 5, src)]
-        assert got == [a.tolist() for a in _scan_envelope_table(
-            g, 5, ExplicitPrefix(128))]
-        assert [list(c.args[1]) for c in kernel.call_args_list] == [
-            [1, 2, 3, 4, 5],    # the prefix of 32, only ones
-            [1], [2, 3, 4, 5],  # the tail to 64 holds the first zero
-            [1]]                # to 128, where nothing changes
+            _scan_envelope_table(PaperfoldingWord(), 1025, src)
+        strings = [(len(c.args[1]), len(c.args[0][0]))
+                   for c in kernel.call_args_list]
+        assert strings[0] == (1025, 8200)
+        assert strings[1][1] == 64 * 1025 - 8200 + 1024
+        assert all(size < 1025 for size, _ in strings[1:]), strings
+
+    def test_split_bounds_once_per_table(self):
+        """The pf table to 1025 is final at 8200 symbols, so the step to
+        the initial length and the doubling after it, which stops, share
+        one computation of the bounds."""
+        src = StabilizedDoubling(max_length=2**22)
+        with mock.patch.object(factors, "_split_bounds",
+                               wraps=factors._split_bounds) as bounds, \
+                mock.patch.object(factors, "_window_scan",
+                                  wraps=factors._window_scan) as kernel:
+            _scan_envelope_table(PaperfoldingWord(), 1025, src)
+        assert bounds.call_count == 1
+        assert kernel.call_count == 3  # the eighth, and one pass per step
 
     def test_stabilizing_step_skips_settled_lengths(self):
         """The pf table to 1025 stabilizes in one doubling, and that step
@@ -503,7 +566,7 @@ class TestIncrementalDoubling:
 
 
 class TestSplitBounds:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 50)),
                     min_size=1, max_size=80))
     def test_matches_all_splits(self, rows):

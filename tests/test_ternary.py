@@ -1,10 +1,13 @@
 """Exact half-integer machinery and the ternary cofiniteness decision."""
 
 import functools
+import itertools
 import math
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -554,6 +557,89 @@ class TestFactorRefinement:
             ternary._fib_first_occurrences(5)
         with pytest.raises(RuntimeError):
             ref_fib_factor_starts(5)
+
+
+class TestFactorCache:
+    """enumerate_fib_factors keeps the least recently used lengths within
+    FACTOR_CACHE_BUDGET symbols, (L+1)*L for a length L."""
+
+    @staticmethod
+    def symbols(lengths):
+        return sum((n + 1) * n for n in lengths)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 250), st.lists(st.integers(1, 15), max_size=40))
+    def test_symbol_budget_evicts(self, budget, lengths):
+        """Hits, misses, the kept lengths and their order follow a
+        least-recently-used list cut back to the budget after each miss; a
+        length whose factors alone exceed the budget is answered, not
+        kept.  Every answer is the uncached enumeration."""
+        enumerate_fib_factors.cache_clear()
+        kept, hits, misses = [], 0, 0
+        try:
+            with mock.patch.object(ternary, "FACTOR_CACHE_BUDGET", budget):
+                for n in lengths:
+                    first = enumerate_fib_factors(n)
+                    assert first == tuple(
+                        (i + 1, tuple(bits)) for bits, i in
+                        ternary._fib_first_occurrences(n).items())
+                    if n in kept:
+                        hits += 1
+                        kept.remove(n)
+                    else:
+                        misses += 1
+                    if (n + 1) * n <= budget:
+                        kept.append(n)
+                    while self.symbols(kept) > budget:
+                        kept.pop(0)
+                    assert enumerate_fib_factors.cache_info() == (
+                        hits, misses, None, len(kept))
+                    if kept and kept[-1] == n:
+                        hits += 1
+                        assert enumerate_fib_factors(n) is first
+        finally:
+            enumerate_fib_factors.cache_clear()
+
+    def test_workload_lengths_stay_cached(self):
+        """The lift lemma's lengths 1..60 and the window lengths l+1 of
+        every coprime triple up to 7 fit at once, so a second pass over
+        them, in any order, only hits."""
+        triples = [s for s in itertools.product(range(1, 8), repeat=3)
+                   if math.gcd(*s) == 1]
+        lengths = sorted({*range(1, 61),
+                          *(decision_window_length(s) + 1 for s in triples)})
+        assert self.symbols(lengths) <= ternary.FACTOR_CACHE_BUDGET
+        enumerate_fib_factors.cache_clear()
+        try:
+            first = [enumerate_fib_factors(n) for n in lengths]
+            again = lengths[::-1]
+            random.Random(3).shuffle(again)
+            for n in again:
+                assert enumerate_fib_factors(n) is first[lengths.index(n)]
+            assert enumerate_fib_factors.cache_info() == (
+                len(lengths), len(lengths), None, len(lengths))
+        finally:
+            enumerate_fib_factors.cache_clear()
+
+    def test_cold_sweep_holds_the_budget(self):
+        """A cold sweep over 1..300 would keep 9,090,600 symbols, 72 MiB of
+        references in tuples, if nothing were dropped; the cache holds the
+        last lengths that fit, under 16 MiB traced."""
+        enumerate_fib_factors.cache_clear()
+        try:
+            tracemalloc.start()
+            for n in range(1, 301):
+                enumerate_fib_factors(n)
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            info = enumerate_fib_factors.cache_info()
+            kept = range(301 - info.currsize, 301)
+            assert self.symbols(kept) <= ternary.FACTOR_CACHE_BUDGET
+            assert self.symbols(range(300 - info.currsize, 301)) > (
+                ternary.FACTOR_CACHE_BUDGET)
+            assert held < 16 * 2**20, held
+        finally:
+            enumerate_fib_factors.cache_clear()
 
 
 class TestTripleMemo:
