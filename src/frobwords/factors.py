@@ -103,7 +103,10 @@ the bounds over the longer prefix are the same, so the row at n, which can
 only widen, cannot move.  The step scans the other lengths, length 1
 always among them, and if one of their rows changed, rescans the skipped
 lengths above the least that did (``_hull_step``).  The result, the stop
-length and the cap error are still those of a full rescan.
+length and the cap error are still those of a full rescan.  Nothing in
+that argument asks how long the earlier prefix is, so a table whose
+initial length L is long enough (_FIRST_SCAN_MIN) scans every length over
+an eighth of L only and reaches L by one such step.
 
 The kernel keeps binary prefix sums in wrapping uint16 while every
 window length is below 2**16, block by block: the carried sums and the

@@ -23,10 +23,9 @@ JSON carries it as {"twice": ...}.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-import functools
-from collections import namedtuple
-from functools import total_ordering
+from functools import total_ordering, wraps
 from typing import Sequence
 
 
@@ -466,52 +465,56 @@ def _fib_first_occurrences(n: int) -> dict:
 
 #: Most symbols, (L+1)*L for a length L, that the cache of
 #: enumerate_fib_factors keeps: every length to 145 at once.  The claims
-#: lift lemma to 60 needs 75,640 of them and the lengths l+1 of the table-2
-#: triples 882.
+#: lift lemma to 60 needs 75,640 of them, and the window lengths l+1 of the
+#: triples table 2 sweeps 882.
 FACTOR_CACHE_BUDGET = 2**20
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
-class _SymbolBoundedCache:
-    """A least-recently-used cache of one function of a factor length L,
+def _symbol_bounded_cache(function):
+    """A least-recently-used cache of ``function`` of a factor length L,
     bounded by the (L+1)*L symbols of its entries, not by their number:
     past FACTOR_CACHE_BUDGET it drops the least recently used, and it does
-    not keep an entry larger than the whole budget.  cache_info() and
-    cache_clear() are those of functools.lru_cache (maxsize None: there is
-    no bound on the entries as such)."""
+    not keep an entry larger than the whole budget.  The wrapper has the
+    cache_info() and cache_clear() of functools.lru_cache (maxsize None:
+    the entries as such are not counted)."""
+    entries: OrderedDict = OrderedDict()
+    get, move_to_end = entries.get, entries.move_to_end
+    hits = misses = held = 0
 
-    def __init__(self, function):
-        functools.update_wrapper(self, function)
-        self.cache_clear()
-
-    def __call__(self, length):
-        entries = self._entries
-        if length in entries:
-            self._hits += 1
-            entries[length] = result = entries.pop(length)
+    @wraps(function)
+    def cached(length):
+        nonlocal hits, misses, held
+        result = get(length)
+        if result is not None:
+            hits += 1
+            move_to_end(length)
             return result
-        self._misses += 1
-        result = self.__wrapped__(length)
+        misses += 1
+        result = function(length)
         size = (length + 1) * length
         if size <= FACTOR_CACHE_BUDGET:
             entries[length] = result
-            self._symbols += size
-            while self._symbols > FACTOR_CACHE_BUDGET:
-                oldest = next(iter(entries))
-                del entries[oldest]
-                self._symbols -= (oldest + 1) * oldest
+            held += size
+            while held > FACTOR_CACHE_BUDGET:
+                oldest, _ = entries.popitem(last=False)
+                held -= (oldest + 1) * oldest
         return result
 
-    def cache_info(self) -> CacheInfo:
-        return CacheInfo(self._hits, self._misses, None, len(self._entries))
+    def cache_info() -> CacheInfo:
+        return CacheInfo(hits, misses, None, len(entries))
 
-    def cache_clear(self) -> None:
-        self._entries: dict = {}
-        self._symbols = self._hits = self._misses = 0
+    def cache_clear() -> None:
+        nonlocal hits, misses, held
+        entries.clear()
+        hits = misses = held = 0
+
+    cached.cache_info, cached.cache_clear = cache_info, cache_clear
+    return cached
 
 
-@_SymbolBoundedCache
+@_symbol_bounded_cache
 def enumerate_fib_factors(length: int) -> tuple:
     """All distinct length-``length`` factors of the Fibonacci word with their
     first occurrence index (1-based), in order of first occurrence."""
