@@ -58,6 +58,7 @@ def examples(n):
     under the ci profile (tests/conftest.py)."""
     return n * settings.default.max_examples // 100
 
+
 # Uniform binary morphisms prolongable on the seed 0.
 TEST_MORPHISMS = [
     ("01", "10"),        # Thue-Morse
