@@ -56,8 +56,8 @@ lengths ceil(L/l) and ceil((L+l-1)/l), so a single length walks at most
 two lengths per level down to the base case in plain ints
 (``_desubstitution_envelope``).
 
-Every scan is one window kernel, ``_window_scan``: prefix sums, then one
-subtraction per window length, handed to one of two folds.  The binary fold
+Every scan is one window kernel, ``_window_scan``: prefix sums, then
+subtractions of them, handed to one of two folds.  The binary fold
 keeps the zero-count extrema, the ternary one the distinct (ones, twos)
 pairs.  Binary Parikh sets need no more than the extrema: moving a length-n
 window one step changes its zero count by at most 1, so the zero counts
@@ -72,17 +72,23 @@ symbols.  A window of length n <= n_max that ends in a block reads the sums
 of that block and the n_max sums before it, so the walk carries only those
 into the next block: a scan holds O(n_max + _SCAN_BLOCK) sums, not a
 full-length sums array and its temporaries, and a string that fits in one
-block is one pass.  Window lengths stay the inner loop of each block, one
-subtraction and one fold each.  Which sums the walk builds, zero counts or
-ternary codes, and how, is chosen once per call, so the walk itself does
-not depend on the alphabet.  Binary zero counts are summed by a blocked
-scan (Blelloch, "Prefix sums and their applications", 1990): the block is
-read as rows of 16 symbols, 15 vectorised column adds give every row its
-running sums, and one short cumsum of the row ends gives each row's offset
+block is one pass.  Window lengths stay the inner loop of each block.  A
+ternary length, or a binary one on its own, is one subtraction and one
+fold.  A binary run of three or more consecutive lengths is one strided
+2-D view of the sums, subtracted into the same buffer and reduced row by
+row, as many rows per numpy call as the block's budget holds
+(``_fold_plan``, ``_run_windows``).  So a table scan over a few thousand
+symbols no longer pays numpy's fixed cost per call, about 2.5 us, once
+per length.  Which sums the walk builds, zero counts or ternary codes, and
+how, is chosen once per call, so the walk itself does not depend on the
+alphabet.  Binary zero counts are summed eight to a little-endian uint64
+word (SWAR, SIMD within a register): one multiply by 0x0101010101010101
+leaves in byte j of a word the count of its first j+1 flags, the same
+multiply over the word totals gives groups of 64 symbols, and one cumsum
+over the group totals and one broadcast add finish the sums
 (``_blocked_prefix_sums``).  np.cumsum carries one serial dependency
-through the block: 0.29 ms per 2**17 uint16 sums, where one length's
-subtraction and fold take 0.015 ms.  Ternary codes keep it, as there the
-blocked scan measured no faster.
+through the block: 0.46 ms per 2**17 uint16 sums against 0.10 ms.
+Ternary codes keep it, as their counts do not fit in a byte.
 
 A doubling step scans only the new half and the n_max - 1 symbols before
 it.  Going from a prefix of length L to 2L, the only new windows of length
@@ -113,7 +119,7 @@ window length is below 2**16, block by block: the carried sums and the
 block's sums continue one running count modulo 2**16, a difference of two
 sums is the true zero count modulo 2**16, and that count lies in [0, n]
 with n < 2**16, so it is exact.  Addition modulo 2**16 is associative, so
-the blocked scan, which adds in another order, gives the same sums modulo
+the SWAR scan, which adds in another order, gives the same sums modulo
 2**16 as np.cumsum.  Longer windows use int32.
 """
 
@@ -442,10 +448,13 @@ def _split_bounds(
     n-a of that string, so the extrema over any string lie within these
     bounds.  Length 1 has no split; its bounds are -_NONE and _NONE, which
     no row reaches.  By symmetry a runs to n_max // 2 only, over strided
-    views of a padded copy, _SCAN_BLOCK entries at a time.
+    views of a padded copy, _SCAN_BLOCK entries at a time, added into one
+    scratch buffer that both passes reuse.
     """
     n_max = len(z_max)
     half = n_max // 2
+    step = max(1, _SCAN_BLOCK // n_max)
+    scratch = np.empty((min(step, half), n_max - 1), dtype=np.int32)
     bounds = []
     for z, pad, pick, reduce in ((z_min, -_NONE, np.maximum, np.max),
                                  (z_max, _NONE, np.minimum, np.min)):
@@ -456,11 +465,10 @@ def _split_bounds(
         windows = np.lib.stride_tricks.sliding_window_view(padded, n_max)
         bound = np.full(n_max, pad, dtype=np.int32)
         split_bound = bound[1:]  # lengths 2..n_max
-        step = max(1, _SCAN_BLOCK // n_max)
         for a in range(1, half + 1, step):
             stop = min(a + step, half + 1)
             rows = windows[n_max - stop + 1:n_max - a + 1, 1:][::-1]
-            split = z[a - 1:stop - 1, None] + rows
+            split = np.add(z[a - 1:stop - 1, None], rows, out=scratch[:stop - a])
             pick(split_bound, reduce(split, axis=0), out=split_bound)
         bounds.append(bound)
     return bounds[0], bounds[1]
@@ -521,28 +529,33 @@ def _hull_step(previous: tuple, tail: np.ndarray, settled=None) -> tuple:
 #: a sixteenth of L took: pf to 1025 11.0, 8.7, 8.0, 11.8 ms; pf to 2000
 #: 34.5, 20.9, 19.3, 29.1 ms; phi to 1025 11.2, 9.0, 8.3, 14.0 ms; fib to
 #: 2000 29.6, 14.0, 11.5, 9.9 ms.  A sixteenth is too short for pf and phi,
-#: whose rows then change in the tail.  Below L = 2**16 the kernel's fixed
-#: cost per length, about 2.5 us or a scan of 27,000 symbols, outweighs what
-#: an eighth saves: phi to 800 went from 8.2 to 9.7 ms, the staircase word
-#: of verify to 300 from 4.1 to 5.0 ms.
+#: whose rows then change in the tail.  Below L = 2**16 an eighth still
+#: loses for some words, though the 2-D folds of ``_fold_plan`` took away
+#: the kernel's fixed cost per length that once explained it.  The full
+#: scan and then the eighth, at L = 64 * n_max (medians of 9, 2 shared
+#: cores): the staircase word of verify to 100, 300 and 1000 0.96 and 1.38,
+#: 7.1 and 8.3, 111 and 124 ms, its rows changing in the tail; phi to 400
+#: and 800 4.4 and 4.9, 16.0 and 16.7 ms; but fib to 800 14.2 and 4.8 ms
+#: and pf to 800 15.9 and 7.1 ms.
 _FIRST_SCAN_DIVISOR = 8
 _FIRST_SCAN_MIN = 2**16
 
 #: Symbols per block of the window kernel, so a scan holds O(n_max + block)
-#: sums however long its strings are.  parikh_set(pf, 2^k) for k = 1..14
-#: under doubling, prefix prebuilt, took 5.9-7.2 ms at blocks of 2^16 to
-#: 2^18, 8.8-9.9 ms at 2^15, 13-14 ms at 2^14 (below _BLOCKED_SCAN_MIN, so
-#: np.cumsum) and 8.5-9 ms in one full-length pass (medians, 2 cores,
+#: sums however long its strings are, and the most counts one 2-D fold of
+#: a run of lengths holds (``_fold_plan``).  parikh_set(pf, 2^k) for
+#: k = 1..14 under doubling, prefix prebuilt, took 9.1 ms at blocks of
+#: 2^17, 9.8 and 9.3 ms at 2^16 and 2^18, 12.2 ms at 2^15, 17.1 ms at 2^14
+#: and 18.6 ms in one full-length pass (medians of 7, 2 shared cores,
 #: numpy 2.4).
 _SCAN_BLOCK = 2**17
 
-#: Symbols per row of the blocked binary prefix sums, and the least block
-#: they take; shorter blocks keep np.cumsum.  One 2^17-symbol block of
-#: uint16 sums took 0.14 ms in rows of 16 against 0.29 ms by np.cumsum
-#: (int32: 0.23 against 0.31 ms); the two cross near 2^14 symbols in uint16
-#: and 2^15 in int32.
-_SCAN_ROW = 16
-_BLOCKED_SCAN_MIN = 2**15
+#: The least block the SWAR binary prefix sums take; shorter blocks keep
+#: np.cumsum, whose cost has no fixed part to speak of.  Over blocks of
+#: 2^10 .. 2^17 symbols (min of 15, 2 cores, numpy 2.4) np.cumsum took 7.9,
+#: 11.1, 15.1, 17.9 and 31 us at 2^10, 2^11, 3*2^10, 2^12 and 2^13, the SWAR
+#: scan 11.8, 12.3, 12.9, 13.8 and 16.0 us (uint16; int32 alike), and at
+#: 2^17 462 against 103 us.
+_BLOCKED_SCAN_MIN = 2**12
 
 
 def _window_scan(strings: list[np.ndarray], lengths: Iterable[int], alphabet_size: int):
@@ -553,14 +566,18 @@ def _window_scan(strings: list[np.ndarray], lengths: Iterable[int], alphabet_siz
 
     The walk takes each string in blocks of _SCAN_BLOCK symbols and carries
     the last n_max = max(lengths) prefix sums from block to block (see the
-    module docstring).  Each length costs one subtraction per block, into a
-    reused buffer, and a fold turns its window counts into a row
-    (``_extrema``, ``_distinct_pairs``), merged into the length's row so far
-    (``_hull``, ``_union``).
+    module docstring).  A length on its own costs one subtraction per block
+    into a reused buffer, and a fold turns its window counts into a row
+    (``_extrema``, ``_distinct_pairs``), merged into the length's row so
+    far (``_hull``, ``_union``).  In a binary block narrow enough that
+    three rows of windows fit in _SCAN_BLOCK counts, runs of consecutive
+    lengths are folded r at a time instead: one subtraction of a strided
+    (r, width) view of the sums into the same buffer, and one row-wise min
+    and max (``_fold_plan``, ``_run_windows``, ``_row_extrema``).
 
     The count and sum steps are chosen once per call.  A binary prefix sum
     counts zeros, in wrapping uint16 while every length is below 2**16 (see
-    the module docstring), else in int32, summed by a blocked scan
+    the module docstring), else in int32, summed eight symbols per word
     (``_blocked_prefix_sums``).  A ternary one, summed by np.cumsum, is the
     int64 code ones*B + twos with B = n_max + 1, so one difference gives
     both counts of a window in base B; codes stay below N*B for strings of
@@ -571,19 +588,20 @@ def _window_scan(strings: list[np.ndarray], lengths: Iterable[int], alphabet_siz
     if alphabet_size == 2:
         dtype = np.uint16 if n_max < 2**16 else np.int32
         count, fold, merge = (lambda chunk: chunk == 0), _extrema, _hull
-        prefix_sums = _blocked_prefix_sums
+        prefix_sums, fold_rows = _blocked_prefix_sums, _row_extrema
     elif alphabet_size == 3:
         dtype = np.int64
         base = n_max + 1
         count = np.array([0, base, 1], dtype=dtype).take
         fold, merge = (lambda codes: _distinct_pairs(codes, base)), _union
-        prefix_sums = _serial_prefix_sums
+        prefix_sums, fold_rows = _serial_prefix_sums, None
     else:
         raise ValueError("only alphabets of size 2 and 3 are supported")
     block = _SCAN_BLOCK
     longest = max(len(arr) for arr in strings)
     sums = np.empty(min(longest, n_max + block) + 1, dtype=dtype)
-    buf = np.empty(min(longest, block), dtype=dtype)
+    buf = np.empty(min(longest * (len(lengths) if fold_rows else 1), block),
+                   dtype=dtype)
     rows = [None] * len(lengths)
     for arr in strings:
         # sums[:top] hold the prefix sums at positions origin .. origin+top-1
@@ -592,15 +610,24 @@ def _window_scan(strings: list[np.ndarray], lengths: Iterable[int], alphabet_siz
             chunk = arr[start:start + block]
             prefix_sums(count(chunk), sums[top - 1], sums[top:top + len(chunk)])
             top += len(chunk)
-            for i, n in enumerate(lengths):
+            end = start + len(chunk)
+            # three rows of the longest length's windows fit, or none do
+            if fold_rows and 3 * (end + 1 - max(start + 1, n_max)) <= len(buf):
+                alone, grouped = _fold_plan(lengths, start, end, len(buf))
+            else:
+                alone, grouped = enumerate(lengths), ()
+            for i, n in alone:
                 # the windows that end in this block, at the first of which
                 # the slice begins
                 begin = max(start + 1, n) - origin
-                if begin >= top:
-                    continue
-                row = fold(np.subtract(sums[begin:top], sums[begin - n:top - n],
-                                       out=buf[:top - begin]))
-                rows[i] = row if rows[i] is None else merge(rows[i], row)
+                if begin < top:
+                    row = fold(np.subtract(sums[begin:top], sums[begin - n:top - n],
+                                           out=buf[:top - begin]))
+                    rows[i] = row if rows[i] is None else merge(rows[i], row)
+            for i, n, r in grouped:
+                counts = _run_windows(sums, top, start + 1 - origin, n, r, buf)
+                for j, row in enumerate(fold_rows(counts), i):
+                    rows[j] = row if rows[j] is None else merge(rows[j], row)
             keep = min(n_max, top)
             sums[:keep] = sums[top - keep:top]
             origin, top = origin + top - keep, keep
@@ -608,6 +635,66 @@ def _window_scan(strings: list[np.ndarray], lengths: Iterable[int], alphabet_siz
         if row is None:
             raise ValueError(f"no covering string long enough for n={n}")
         yield row
+
+
+def _fold_plan(lengths: list[int], start: int, end: int, budget: int) -> tuple:
+    """How a binary block of the symbols start .. end-1 folds lengths:
+    (i, n) for each n = lengths[i] folded on its own, and (i, n, r) for each
+    run of r >= 3 consecutive lengths lengths[i:i+r] = n .. n+r-1 folded at
+    once in at most budget counts (``_run_windows``).  A 2-D fold costs
+    about as much as two folds of one length, so fewer rows go one by one.
+
+    A fold from n <= start + 1 takes lengths up to start + 1, each with
+    the end - start windows that end in the block.  A fold from
+    n > start + 1 takes end + 1 - n counts per row, up to the longest
+    length n1 with 2*n1 - n <= end + 1, so that all of them exist.
+    Lengths longer than end have no window yet.
+    """
+    cuts = (np.flatnonzero(np.diff(lengths) != 1) + 1).tolist()
+    alone, grouped = [], []
+    for i, stop in zip([0] + cuts, cuts + [len(lengths)]):
+        while i < stop and lengths[i] <= end:
+            n = lengths[i]
+            if n <= start + 1:
+                r = min(stop - i, start + 2 - n, budget // (end - start))
+            else:
+                r = min(stop - i, (end + 1 - n) // 2 + 1, budget // (end + 1 - n))
+            if r < 3:
+                alone.append((i, n))
+                i += 1
+            else:
+                grouped.append((i, n, r))
+                i += r
+    return alone, grouped
+
+
+def _run_windows(sums: np.ndarray, top: int, first: int, n0: int, r: int,
+                 buf: np.ndarray) -> np.ndarray:
+    """The window counts of lengths n0 .. n1 = n0 + r - 1 over sums[:top],
+    one row per length, in a 2-D view of buf.
+
+    ``first`` is the end of the first window the block holds.  If
+    n1 <= first every row's windows end at first .. top-1, so row j is
+    sums[first:top] less a view that starts n0 + j earlier.  Otherwise the
+    sums start at the string's start (origin 0), the windows of every
+    length end at n1 .. top-1 or at their own length n .. n1-1, and each of
+    the latter starts in [0, n1 - n0): those are taken from that range of
+    starts, beside the others, and 2*n1 - n0 <= top keeps them in the sums.
+    """
+    item = sums.itemsize
+    n1 = n0 + r - 1
+    if n1 <= first:
+        counts = buf[:r * (top - first)].reshape(r, -1)
+        shifted = np.ndarray(counts.shape, sums.dtype, sums, (first - n0) * item,
+                             (-item, item))
+        return np.subtract(sums[first:top], shifted, out=counts)
+    counts = buf[:r * (top - n0)].reshape(r, -1)
+    late, early = counts[:, :top - n1], counts[:, top - n1:]
+    shifted = np.ndarray(late.shape, sums.dtype, sums, (n1 - n0) * item, (-item, item))
+    np.subtract(sums[n1:top], shifted, out=late)
+    ends = np.ndarray(early.shape, sums.dtype, sums, n0 * item, (item, item))
+    np.subtract(ends, sums[:n1 - n0], out=early)
+    return counts
 
 
 def _serial_prefix_sums(values: np.ndarray, carry, out: np.ndarray) -> None:
@@ -618,39 +705,57 @@ def _serial_prefix_sums(values: np.ndarray, carry, out: np.ndarray) -> None:
         out += carry
 
 
-def _blocked_prefix_sums(values: np.ndarray, carry, out: np.ndarray) -> None:
-    """_serial_prefix_sums by a blocked scan (Blelloch, "Prefix sums and
-    their applications", 1990), for the binary zero counts.
+#: 1 in every byte of a little-endian uint64: times a word of eight 0/1
+#: bytes it holds in byte j the sum of bytes 0..j (``_blocked_prefix_sums``)
+_BYTE_ONES = np.array(0x0101010101010101, dtype="<u8")
 
-    The block is read as rows of _SCAN_ROW consecutive symbols.  Column r-1
-    is added into column r for every row at once, which leaves each row
-    its own running sums; one short cumsum of the row ends gives each row's
-    offset, added with the carry.  In uint16 every sum wraps, and since
-    addition modulo 2**16 is associative the sums are np.cumsum's.  The
-    symbols past the last whole row, and a block below _BLOCKED_SCAN_MIN
-    symbols, take np.cumsum.
+
+def _blocked_prefix_sums(flags: np.ndarray, carry, out: np.ndarray) -> None:
+    """_serial_prefix_sums of the binary zero-count flags, eight per word
+    (SWAR: SIMD within a register).
+
+    Read as little-endian uint64 words, each word times _BYTE_ONES holds in
+    byte j the count of its first j+1 flags, at most 8, so no byte carries
+    into the next; byte 7 is the word's total.  The same product over the
+    totals of 8 words holds in byte j the count of the group's words
+    0..j; shifted up one byte, it gives each word its offset within its
+    group of 64 symbols, added to all its bytes, which then count up to 64.
+    One np.cumsum over the group totals and one broadcast add finish the
+    sums.  Each product is made '<u8' before its bytes are read, so the
+    result does not depend on byte order.  In uint16 the sums wrap, and
+    since addition modulo 2**16 is associative they are np.cumsum's.  A
+    block below _BLOCKED_SCAN_MIN symbols, and the last len % 64 flags,
+    take np.cumsum.
     """
-    body = len(values) - len(values) % _SCAN_ROW
+    body = len(flags) - len(flags) % 64
     if body < _BLOCKED_SCAN_MIN:
         body = 0
     else:
-        rows = out[:body].reshape(-1, _SCAN_ROW)
-        rows[...] = values[:body].reshape(-1, _SCAN_ROW)
-        for r in range(1, _SCAN_ROW):
-            np.add(rows[:, r], rows[:, r - 1], out=rows[:, r])
-        offsets = np.empty(len(rows), dtype=out.dtype)
+        le = _BYTE_ONES.dtype
+        within = (flags[:body].view(le) * _BYTE_ONES).astype(le, copy=False)
+        totals = np.ascontiguousarray(within.view(np.uint8)[7::8])
+        groups = (totals.view(le) * _BYTE_ONES).astype(le, copy=False)
+        within += (groups << 8).astype(le, copy=False).view(np.uint8) * _BYTE_ONES
+        # the carry, then the group totals, summed into each group's offset
+        offsets = np.empty(len(groups), dtype=out.dtype)
         offsets[0] = carry
-        np.cumsum(rows[:-1, -1], out=offsets[1:])
-        offsets[1:] += carry
-        rows += offsets[:, None]
+        offsets[1:] = groups.view(np.uint8)[7:-8:8]
+        np.add.accumulate(offsets, out=offsets)
+        np.add(within.view(np.uint8).reshape(-1, 64), offsets[:, None],
+               out=out[:body].reshape(-1, 64))
         carry = out[body - 1]
-    if body < len(values):
-        _serial_prefix_sums(values[body:], carry, out[body:])
+    if body < len(flags):
+        _serial_prefix_sums(flags[body:], carry, out[body:])
 
 
 def _extrema(zeros: np.ndarray) -> tuple[int, int]:
     """The binary fold: (least, most) of a block's window zero counts."""
     return int(zeros.min()), int(zeros.max())
+
+
+def _row_extrema(zeros: np.ndarray) -> list[tuple[int, int]]:
+    """The binary fold of a run of lengths, one per row of zeros."""
+    return list(zip(zeros.min(axis=1).tolist(), zeros.max(axis=1).tolist()))
 
 
 def _distinct_pairs(codes: np.ndarray, base: int) -> tuple:

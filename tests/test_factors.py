@@ -237,6 +237,118 @@ class TestWindowKernel:
                     next(_window_scan([np.zeros(3, dtype=np.uint8)], [4], k))
 
 
+def window_zeros(arr, n):
+    """The zero counts of the length-n windows of a binary string, by end."""
+    sums = np.concatenate([[0], np.cumsum(arr == 0)])
+    return sums[n:] - sums[:-n]
+
+
+@st.composite
+def runs_of_lengths(draw, longest):
+    """Lengths in runs of consecutive integers, with single lengths and
+    repeats, in no particular order."""
+    lengths = []
+    for _ in range(draw(st.integers(1, 4))):
+        n0 = draw(st.integers(1, longest))
+        lengths += range(n0, min(n0 + draw(st.integers(1, 40)), longest + 1))
+    lengths += draw(st.lists(st.sampled_from(lengths), max_size=3))
+    return draw(st.permutations(lengths)) if draw(st.booleans()) else lengths
+
+
+class TestRunFolds:
+    @settings(max_examples=examples(100), deadline=None)
+    @given(st.sampled_from([np.uint16, np.int32]),
+           st.lists(st.integers(0, 1), min_size=2, max_size=120), st.data())
+    # a fold from the string's start whose longest windows begin at 0:
+    # 2*n1 - n0 = top exactly
+    @example(np.uint16, [0, 1, 1, 0, 0, 0, 1, 0, 1], (2, 5, 1, 2**16 - 3))
+    # a fold of lengths up to the block start, with the carry wrapping
+    @example(np.uint16, [1, 0, 0, 1, 0, 1, 1, 1, 0, 0], (2, 3, 6, 2**16 - 2))
+    @example(np.int32, [0] * 12 + [1] * 7, (3, 5, 1, 2**31 - 40))
+    def test_run_windows_match_windows(self, dtype, bits, data):
+        """Each row of a 2-D fold holds the zero counts of its length's
+        windows: those that end in the block from first on if every length
+        reaches back past first, else, from the string's start, every
+        window (some twice).  Sums start at a carry near 2**16 in uint16,
+        so they wrap, and near 2**31 in int32."""
+        arr = np.array(bits, dtype=np.uint8)
+        top = len(arr) + 1
+        if isinstance(data, tuple):
+            n0, r, first, carry = data
+        else:
+            first = data.draw(st.integers(1, top - 1))
+            n0 = data.draw(st.integers(1, top - 1))
+            if n0 <= first:
+                r = data.draw(st.integers(1, first - n0 + 1))
+            else:
+                r = data.draw(st.integers(1, (top - n0) // 2 + 1))
+            wrap = 2**16 if dtype is np.uint16 else 2**31 - top
+            carry = data.draw(st.integers(wrap - top, wrap - 1))
+        sums = np.empty(top, dtype=dtype)
+        sums[0] = carry
+        np.cumsum(arr == 0, dtype=dtype, out=sums[1:])
+        sums[1:] += dtype(carry)
+        buf = np.full(r * top, 7, dtype=dtype)
+        counts = factors._run_windows(sums, top, first, n0, r, buf)
+        assert counts.shape[0] == r
+        for j, row in enumerate(counts.tolist()):
+            zeros = window_zeros(arr, n0 + j).tolist()
+            if n0 + r - 1 <= first:  # ends first .. top-1, each once
+                assert row == zeros[first - n0 - j:]
+            else:
+                assert set(row) == set(zeros)
+        assert factors._row_extrema(counts) == [
+            (min(row), max(row)) for row in counts.tolist()]
+
+    @settings(max_examples=examples(100), deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=90),
+                    min_size=1, max_size=3),
+           st.one_of(st.integers(1, 7), st.just(2**17)), st.data())
+    def test_kernel_runs_match_distinct_windows(self, lists, block, data):
+        """Runs of consecutive lengths, single and repeated lengths in any
+        order, strings shorter than 2*n1 - n0, and blocks of 1..7 symbols
+        or one block per string."""
+        strings = [np.array(xs, dtype=np.uint8) for xs in lists]
+        longest = max(len(arr) for arr in strings)
+        lengths = data.draw(runs_of_lengths(longest))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(factors, "_SCAN_BLOCK", block)
+            got = list(_window_scan(strings, lengths, 2))
+        assert got == [distinct_window_counts(strings, n, 2) for n in lengths]
+
+    def test_int32_runs_and_first_block(self, monkeypatch):
+        """A length of 2**16 + 1 puts the sums in int32; the runs fold over
+        the last block of a long string and over all of a short one, whose
+        lengths begin at their own length."""
+        long_arr, short_arr = PF.prefix_array(245_000), FIB.prefix_array(300)
+        lengths = [2**16 + 1, *range(1, 60), 7, 7, *range(200, 150, -1)]
+        monkeypatch.setattr(factors, "_SCAN_BLOCK", 40_000)
+        with mock.patch.object(factors, "_run_windows",
+                               wraps=factors._run_windows) as folds:
+            got = list(_window_scan([long_arr, short_arr], lengths, 2))
+        assert folds.call_count > 0
+        assert {c.args[0].dtype for c in folds.call_args_list} == {np.dtype(np.int32)}
+        for n, row in zip(lengths, got):
+            zeros = np.concatenate([window_zeros(arr, n) for arr in
+                                    (long_arr, short_arr) if len(arr) >= n])
+            assert row == (int(zeros.min()), int(zeros.max()))
+
+    def test_first_scan_folds_runs(self):
+        """The pf table to 1025 scans its 1025 lengths over 8200 symbols in
+        2-D folds of at least three lengths each; the hull steps, over
+        blocks of some 60,000 symbols, fold every length alone."""
+        src = StabilizedDoubling(max_length=2**22)
+        with mock.patch.object(factors, "_run_windows",
+                               wraps=factors._run_windows) as folds, \
+                mock.patch.object(factors, "_window_scan",
+                                  wraps=factors._window_scan) as kernel:
+            _scan_envelope_table(PaperfoldingWord(), 1025, src)
+        assert len(kernel.call_args_list[0].args[0][0]) == 8200
+        rows = [c.args[4] for c in folds.call_args_list]
+        assert min(rows) >= 3 and sum(rows) == 1024  # all but length 1
+        assert len(rows) < 1024 // 10
+
+
 class TestAbelianComplexity:
     @pytest.mark.parametrize("k", range(1, 11))
     def test_pf_powers_of_two(self, k):
@@ -618,20 +730,24 @@ class TestBinaryKernelWidth:
 
 
 class TestBlockedPrefixSums:
-    ROW, LEAST = factors._SCAN_ROW, factors._BLOCKED_SCAN_MIN
+    GROUP, LEAST = 64, factors._BLOCKED_SCAN_MIN
 
-    @settings(max_examples=120, deadline=None)
-    @given(st.sampled_from([np.uint16, np.int32]),
-           st.one_of(st.integers(0, 4 * ROW + 3),
-                     st.integers(LEAST - ROW - 1, LEAST + 4 * ROW + 3)),
+    @settings(max_examples=examples(120), deadline=None)
+    @given(st.sampled_from([np.uint16, np.int32]), st.sampled_from([GROUP, LEAST]),
+           st.one_of(st.integers(0, 4 * GROUP + 3),
+                     st.integers(LEAST - GROUP - 1, LEAST + 4 * GROUP + 3)),
            st.integers(0, 2**32 - 1), st.data())
-    # the least block the rows take, one symbol short of it and a remainder
-    @example(np.uint16, LEAST, 0, None)
-    @example(np.uint16, LEAST - 1, 1, None)
-    @example(np.int32, LEAST + 2 * ROW + 5, 2, None)
-    def test_matches_cumsum_and_carry(self, dtype, size, seed, data):
+    # the least block the SWAR scan takes, one symbol short of it, and
+    # remainders past the last group of 64
+    @example(np.uint16, LEAST, LEAST, 0, None)
+    @example(np.uint16, LEAST, LEAST - 1, 1, None)
+    @example(np.int32, LEAST, LEAST + 2 * GROUP + 5, 2, None)
+    @example(np.uint16, GROUP, 3 * GROUP + 63, 3, None)
+    @example(np.int32, GROUP, GROUP + 1, 4, None)
+    def test_matches_cumsum_and_carry(self, dtype, least, size, seed, data):
         """Zero-count flags as the kernel passes them, with carries near
-        2**16 in uint16, so the sums wrap, and large ones in int32."""
+        2**16 in uint16, so the sums wrap, and large ones in int32; with the
+        SWAR scan from its least block and from one group of 64 on."""
         values = np.random.default_rng(seed).integers(0, 2, size) == 0
         if dtype is np.uint16:
             top = 2**16 - 1
@@ -643,13 +759,15 @@ class TestBlockedPrefixSums:
         if dtype is np.uint16:
             want %= 2**16
         out = np.full(size, 7, dtype=dtype)
-        factors._blocked_prefix_sums(values, dtype(carry), out)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(factors, "_BLOCKED_SCAN_MIN", least)
+            factors._blocked_prefix_sums(values, dtype(carry), out)
         assert out.tolist() == want.tolist()
 
     @pytest.mark.parametrize("block", [2**15 + 1, 40_007, 2**15 + 8, 50_009])
     def test_kernel_rows_with_blocks_off_the_row_grid(self, monkeypatch, block):
-        """Blocks that are no multiple of 16, so rows end mid-block and each
-        block has a remainder, in uint16 and in int32 (n_max >= 2**16)."""
+        """Blocks that are no multiple of 64, so groups end mid-block and
+        each block has a remainder, in uint16 and in int32 (n_max >= 2**16)."""
         prefix = PF.prefix_array(3 * 2**16 + 5)
         sums = np.zeros(len(prefix) + 1, dtype=np.int64)
         np.cumsum(prefix == 0, out=sums[1:])
@@ -664,19 +782,20 @@ class TestBlockedPrefixSums:
                 envelope(n) for n in lengths]
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 40), st.lists(st.lists(st.integers(0, 1), min_size=1,
-                                                  max_size=120),
-                                         min_size=1, max_size=3), st.data())
+    @given(st.integers(1, 150), st.lists(st.lists(st.integers(0, 1), min_size=1,
+                                                   max_size=300),
+                                          min_size=1, max_size=3), st.data())
     def test_short_rows_match_distinct_windows(self, block, lists, data):
-        """With the blocked scan taking every block of one row or more,
-        small blocks put row ends, block ends and remainders everywhere."""
+        """With the SWAR scan taking every block of one group of 64 or
+        more, small blocks put group ends, block ends and remainders
+        everywhere."""
         strings = [np.array(xs, dtype=np.uint8) for xs in lists]
         longest = max(len(arr) for arr in strings)
         lengths = data.draw(st.lists(st.integers(1, longest), min_size=1,
                                      max_size=5))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(factors, "_SCAN_BLOCK", block)
-            patch.setattr(factors, "_BLOCKED_SCAN_MIN", self.ROW)
+            patch.setattr(factors, "_BLOCKED_SCAN_MIN", self.GROUP)
             got = list(_window_scan(strings, lengths, 2))
         assert got == [distinct_window_counts(strings, n, 2) for n in lengths]
 
