@@ -109,9 +109,10 @@ __version__ = "0.1.0"
 def clear_caches() -> None:
     """Empty every per-process cache, so the next call rebuilds: the cover
     strings, envelope tables and desubstitution constants of factors, the
-    complement memo of frobenius, and the triple memo, decisions and
-    Fibonacci factor enumerations of ternary.  Each generator's own
-    grow-only prefix buffer is kept."""
+    complement memo of frobenius (with the weakref callback each of its
+    generators holds), and the triple memo, decisions and Fibonacci factor
+    enumerations of ternary.  Each generator's own grow-only prefix buffer
+    is kept."""
     factors._COVER_CACHE.clear()
     factors._ENVELOPE_CACHE.clear()
     factors._DESUBSTITUTION_CACHE.clear()

@@ -126,7 +126,7 @@ the SWAR scan, which adds in another order, gives the same sums modulo
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -239,23 +239,37 @@ class WelldocReport:
 # Factor sources
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+def _factor_source(cls):
+    """A frozen dataclass that hashes once, when built: every complement
+    memo lookup hashes its source, and the generated __hash__ packs the
+    fields into a new tuple on each call.  When __post_init__ runs,
+    vars(self) holds just the fields.  A pickle or copy rebuilds through
+    __init__, so a stored hash never outlives its process (the hashes of
+    None and of strings differ between processes)."""
+    cls.__post_init__ = lambda self: object.__setattr__(
+        self, "_hash", hash((cls.__name__, *vars(self).values())))
+    cls.__hash__ = lambda self: self._hash  # explicit: dataclass keeps it
+    cls.__reduce__ = lambda self: (cls, astuple(self))
+    return dataclass(frozen=True)(cls)
+
+
+@_factor_source
 class ExplicitPrefix:
     length: int
 
 
-@dataclass(frozen=True)
+@_factor_source
 class MorphicCover:
     power: int
 
 
-@dataclass(frozen=True)
+@_factor_source
 class StabilizedDoubling:
     initial_length: int | None = None  # None: 64 * (largest window length)
     max_length: int = 2**20
 
 
-@dataclass(frozen=True)
+@_factor_source
 class Certified:
     """Exact answers for the built-in pf, fib and t with no scan: the
     paperfolding 2-recursion, the Beatty form of the Sturmian envelope, and

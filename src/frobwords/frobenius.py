@@ -130,10 +130,18 @@ def s_value(w: FiniteWord, weights: Weights) -> int:
     return parikh(w).dot(weights)
 
 
-# Per-generator complement memo: (weights, max_len, src) as the caller passed
-# them -> (ceiling, tuple of the sorted positive non-values below ceiling,
-# min(weights), report method); keys die with their generators.
-_COMPLEMENT_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# Complement memo: id(generator) -> _GeneratorMemo of (weights, max_len, src)
+# as the caller passed them -> (ceiling, tuple of the sorted positive
+# non-values below ceiling, min(weights), report method).  A dict keyed by
+# id, not a WeakKeyDictionary, so that a lookup builds no weakref; each
+# _GeneratorMemo holds the one weakref whose callback drops it when its
+# generator dies, before the id can be reused.
+_COMPLEMENT_MEMO: dict = {}
+
+#: Most request keys the complement memo keeps per generator.  Past it, a
+#: miss drops the oldest key, in insertion order; a hit pays nothing.
+#: ``verify --suite phi`` uses 43 keys and table 1 23.
+COMPLEMENT_MEMO_KEYS = 1024
 
 #: Largest bound, in integers, that any request may ask values below,
 #: checked after the factor tables are built.  The ternary value mask
@@ -274,6 +282,18 @@ def representable_set(
                              src, covered=True).tolist())
 
 
+class _GeneratorMemo(dict):
+    """One generator's complement memo entries, with the weakref whose
+    callback removes them from _COMPLEMENT_MEMO when the generator dies.
+    Dropping the memo drops the weakref, and with it the callback."""
+
+    __slots__ = ("ref",)
+
+    def __init__(self, g: WordGenerator):
+        key, memos = id(g), _COMPLEMENT_MEMO
+        self.ref = weakref.ref(g, lambda ref: memos.pop(key, None))
+
+
 def complement_below(
     g: WordGenerator,
     weights: Weights,
@@ -298,17 +318,19 @@ def complement_below(
     COMPLEMENT_MEMO_SPAN, but never below the bound: a bound above the
     span builds exactly the bound's answer.  A bound within the ceiling is
     one binary search and a slice of that tuple; a larger one replaces the
-    entry.  The weights (through Weights), bound and max_len checks run on
-    every call.  Coprimality runs only on a miss: an entry exists only for
-    weights that passed it, and equal weights have the same gcd.  The
-    source's own checks ran when the entry was built.  The memo is not
-    bounded in the number of keys: each distinct (weights, max_len, src)
-    keeps its entry until its generator dies or frobwords.clear_caches()
-    runs.
+    entry.  The bound and max_len checks run on every call, and so does
+    Weights for weights that are not already a Weights (one was validated
+    when it was built, and is immutable).  Coprimality runs only on a
+    miss: an entry exists only for weights that passed it, and equal
+    weights have the same gcd.  The source's own checks ran when the
+    entry was built.  A generator keeps at most COMPLEMENT_MEMO_KEYS keys,
+    and a miss past that drops its oldest; its entries go when it dies or
+    frobwords.clear_caches() runs.
     """
-    weights = Weights(weights)
+    if type(weights) is not Weights:
+        weights = Weights(weights)
     key = (weights, max_len, src)
-    memo = _COMPLEMENT_MEMO.get(g)
+    memo = _COMPLEMENT_MEMO.get(id(g))
     entry = memo.get(key) if memo is not None else None
     if entry is None:
         weights.require_coprime()
@@ -333,7 +355,9 @@ def complement_below(
         method = ("binary-envelope-interval" if g.alphabet_size == 2
                   else "parikh-set-scan")
         if memo is None:
-            memo = _COMPLEMENT_MEMO[g] = {}
+            memo = _COMPLEMENT_MEMO[id(g)] = _GeneratorMemo(g)
+        elif entry is None and len(memo) >= COMPLEMENT_MEMO_KEYS:
+            del memo[next(iter(memo))]
         memo[key] = ceiling, nonvalues, least, method
     return tuple.__new__(ComplementReport, (
         weights, bound, max_len, nonvalues[:bisect_left(nonvalues, bound)],

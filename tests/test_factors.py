@@ -1,8 +1,11 @@
 """Factor scanning: Parikh sets, envelopes, balance, occurrence residues."""
 
+import copy
+import dataclasses
 import functools
 import hashlib
 import json
+import pickle
 import tracemalloc
 from unittest import mock
 
@@ -1030,6 +1033,30 @@ class TestZeroEnvelope:
             for n in (1, 5, 21, 64):
                 zeros = [v[0] for v in parikh_set(g, n, src)]
                 assert zeros == list(range(int(z_min[n - 1]), int(z_max[n - 1]) + 1))
+
+
+class TestFactorSources:
+    SOURCES = [ExplicitPrefix(7), MorphicCover(7), StabilizedDoubling(),
+               StabilizedDoubling(64, 2**12), Certified()]
+
+    def test_equality_and_hash(self):
+        for i, src in enumerate(self.SOURCES):
+            again = type(src)(*dataclasses.astuple(src))
+            assert again is not src and again == src and hash(again) == hash(src)
+            assert all(src != other for other in self.SOURCES[i + 1:])
+        assert ExplicitPrefix(7) != MorphicCover(7) and MorphicCover(7) != 7
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            MorphicCover(7).power = 8
+
+    def test_copies_rebuild_their_hash(self):
+        # the stored hash is never pickled: the hashes of None and of
+        # strings differ between processes
+        for src in self.SOURCES:
+            assert b"_hash" not in pickle.dumps(src)
+            for again in (pickle.loads(pickle.dumps(src)), copy.copy(src),
+                          copy.deepcopy(src), dataclasses.replace(src)):
+                assert again == src and hash(again) == hash(src)
+                assert repr(again) == repr(src)
 
 
 class TestDeltaStats:

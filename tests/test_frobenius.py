@@ -1,8 +1,10 @@
 """Weight maps, the two-coin problem, representability and witnesses."""
 
+import gc
 import math
 import pickle
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from frobwords.verify import (
     classical_nonrepresentable,
 )
 from frobwords.words import (
+    FibonacciWord,
     FiniteWord,
     MorphicFixedPoint,
     PaperfoldingWord,
@@ -255,6 +258,10 @@ MEMO_KEYS = [
 ]
 
 
+# Forms a caller may pass weights in: a Weights, a list, numpy ints.
+WEIGHT_FORMS = [Weights, list, lambda w: (np.int64(w[0]), *w[1:])]
+
+
 def memo_free_complement(g, weights, bound, max_len, src):
     """complement_below's answer from the run chains or value mask below
     the bound, with no memo, or the ValueError of its max_len or source
@@ -268,6 +275,12 @@ def memo_free_complement(g, weights, bound, max_len, src):
     except ValueError as exc:
         return exc
     return tuple(missing.tolist())
+
+
+def memo_of(g):
+    """The complement memo entries of g, keyed (weights, max_len, src), or
+    None when it has none."""
+    return frobenius._COMPLEMENT_MEMO.get(id(g))
 
 
 class TestComplementMemo:
@@ -287,23 +300,26 @@ class TestComplementMemo:
             assert report.search_bound == bound
 
     @settings(max_examples=examples(40), deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from(MEMO_KEYS), st.integers(1, 400)),
+    @given(st.lists(st.tuples(st.sampled_from(MEMO_KEYS), st.integers(1, 400),
+                              st.sampled_from(WEIGHT_FORMS)),
                     min_size=1, max_size=6))
     def test_hit_equals_cold_call(self, queries):
         # every field of a hit's report, max_factor_length with max_len=None
-        # included, is the one a call with empty caches returns
+        # included, is the one a call with empty caches returns, whatever
+        # form the weights were passed in
         hits = []
-        for (g, weights, max_len, src), bound in queries:
+        for (g, weights, max_len, src), bound, form in queries:
             try:
-                complement_below(g, Weights(weights), bound, max_len, src)
+                complement_below(g, form(weights), bound, max_len, src)
             except ValueError:
                 continue
             hits.append(((g, weights, max_len, src), bound,
-                         complement_below(g, Weights(weights), bound, max_len, src)))
+                         complement_below(g, form(weights), bound, max_len, src)))
         for (g, weights, max_len, src), bound, hit in hits:
             frobwords.clear_caches()
             cold = complement_below(g, Weights(weights), bound, max_len, src)
             assert hit == cold and type(hit.complement) is tuple
+            assert type(hit.weights) is Weights
 
     def test_validation_on_a_hit(self):
         g = MorphicFixedPoint()
@@ -314,14 +330,28 @@ class TestComplementMemo:
                 complement_below(g, (1.0, 2), 10)
             with pytest.raises(ValueError, match="not coprime"):
                 complement_below(g, Weights((2, 4)), 10)
-        assert list(frobenius._COMPLEMENT_MEMO[g]) == [(Weights((1, 2)), None, None)]
+        assert list(memo_of(g)) == [(Weights((1, 2)), None, None)]
+
+    @pytest.mark.parametrize("weights", [[3, 4], (np.int64(3), 4)])
+    def test_weights_not_built_as_weights(self, weights):
+        # a miss and then a hit both report the weights as a Weights, and
+        # the hit keeps refusing (1.0, 3), which equals (1, 3) and hashes
+        # alike
+        g = MorphicFixedPoint()
+        miss = complement_below(g, weights, 300)
+        assert list(memo_of(g)) == [(Weights((3, 4)), None, None)]
+        hit = complement_below(g, weights, 300)
+        assert hit == miss and hit.complement == (1, 2, 5, 9)
+        assert type(miss.weights) is type(hit.weights) is Weights
+        complement_below(g, (1, 3), 10)
+        with pytest.raises(ValueError, match="positive integers"):
+            complement_below(g, (1.0, 3), 10)
 
     def test_full_range_hit_shares_the_memo_tuple(self):
         g = MorphicFixedPoint()
         w = Weights((3, 4))
         complement_below(g, w, 300)
-        ceiling, nonvalues, least, method = frobenius._COMPLEMENT_MEMO[g][
-            w, None, None]
+        ceiling, nonvalues, least, method = memo_of(g)[w, None, None]
         assert (ceiling, least, method) == (300, 3, "binary-envelope-interval")
         assert complement_below(g, w, 300).complement is nonvalues
         assert complement_below(g, w, 6).complement == (1, 2, 5)
@@ -330,7 +360,7 @@ class TestComplementMemo:
         g = MorphicFixedPoint()
         w = Weights((2, 3))
         assert complement_below(g, w, 20, 10).complement == (1,)
-        assert list(frobenius._COMPLEMENT_MEMO[g]) == [(w, 10, None)]
+        assert list(memo_of(g)) == [(w, 10, None)]
         with pytest.raises(ValueError, match="need at least 11"):
             complement_below(g, w, 21, 10)
 
@@ -352,8 +382,8 @@ class TestComplementMemo:
             report = complement_below(g, w, bound, 700, src)
             assert report.complement == memo_free_complement(
                 PHI, w, bound, 700, src)
-        assert list(frobenius._COMPLEMENT_MEMO[g]) == [(w, 700, src)]
-        assert frobenius._COMPLEMENT_MEMO[g][w, 700, src] == (
+        assert list(memo_of(g)) == [(w, 700, src)]
+        assert memo_of(g)[w, 700, src] == (
             700 * 3, (1, 2, 5, 9), 3, "binary-envelope-interval")
 
     def test_ceiling_within_the_span(self):
@@ -363,7 +393,7 @@ class TestComplementMemo:
         g = PaperfoldingWord()
         w = Weights((1000, 1001))
         assert complement_below(g, w, 10, 60_000).complement == tuple(range(1, 10))
-        memo = frobenius._COMPLEMENT_MEMO[g]
+        memo = memo_of(g)
         assert memo[w, 60_000, None][0] == frobenius.COMPLEMENT_MEMO_SPAN
         assert complement_below(g, w, 2000, 300).complement == (
             memo_free_complement(g, w, 2000, 300, None))
@@ -377,10 +407,69 @@ class TestComplementMemo:
         g = MorphicFixedPoint()
         w = Weights((3, 4))
         complement_below(g, w, 10)
-        assert frobenius._COMPLEMENT_MEMO[g][w, None, None][0] == 12
+        assert memo_of(g)[w, None, None][0] == 12
         assert complement_below(g, w, 300).complement == (1, 2, 5, 9)
-        assert list(frobenius._COMPLEMENT_MEMO[g]) == [(w, None, None)]
-        assert frobenius._COMPLEMENT_MEMO[g][w, None, None][0] == 300
+        assert list(memo_of(g)) == [(w, None, None)]
+        assert memo_of(g)[w, None, None][0] == 300
+
+    def test_keys_bounded(self):
+        # a sweep of max_len adds one key per value; past the bound each
+        # miss drops the oldest key, and neither a hit nor a larger bound
+        # for a kept key drops one
+        g = MorphicFixedPoint()
+        w = Weights((3, 4))
+        cap = frobenius.COMPLEMENT_MEMO_KEYS
+        rng = np.random.default_rng(1)
+        sweep = range(100, 100 + 3 * cap)
+        for max_len, bound in zip(sweep, rng.integers(1, 301, size=len(sweep))):
+            report = complement_below(g, w, int(bound), max_len)
+            assert report.complement == memo_free_complement(
+                g, w, int(bound), max_len, None)
+            assert len(memo_of(g)) <= cap
+        kept = [(w, max_len, None) for max_len in sweep[-cap:]]
+        assert list(memo_of(g)) == kept
+        oldest = sweep[-cap]
+        complement_below(g, w, 10, oldest)
+        complement_below(g, w, 3 * oldest, oldest)  # past the ceiling
+        assert list(memo_of(g)) == kept
+        assert memo_of(g)[w, oldest, None][0] == 3 * oldest
+
+    def test_entries_die_with_their_generator(self):
+        g = MorphicFixedPoint()
+        complement_below(g, Weights((3, 4)), 300)
+        complement_below(g, Weights((2, 5)), 100, src=MorphicCover(4))
+        key, alive = id(g), weakref.ref(g)
+        assert len(frobenius._COMPLEMENT_MEMO[key]) == 2
+        del g
+        gc.collect()
+        assert alive() is None and key not in frobenius._COMPLEMENT_MEMO
+
+    def test_reused_ids_answer_cold(self):
+        # one key, asked of generators of different words that take each
+        # other's ids: each finds no entry and answers for its own word
+        w = Weights((2, 3))
+        ids = []
+        for i in range(12):
+            g = (PaperfoldingWord, MorphicFixedPoint, FibonacciWord)[i % 3]()
+            ids.append(id(g))
+            assert memo_of(g) is None
+            report = complement_below(g, w, 40, 40)
+            assert report.complement == memo_free_complement(g, w, 40, 40, None)
+            del g
+        assert len(set(ids)) < len(ids)
+
+    def test_clear_caches_drops_the_callback(self):
+        # each memo holds one weakref to its generator, with its callback;
+        # clear_caches drops both, so repeated rounds do not pile them up
+        g = MorphicFixedPoint()
+        counts = []
+        for _ in range(4):
+            frobwords.clear_caches()
+            assert weakref.getweakrefcount(g) == 0
+            complement_below(g, Weights((3, 4)), 30)
+            assert memo_of(g).ref in weakref.getweakrefs(g)
+            counts.append(weakref.getweakrefcount(g))
+        assert len(set(counts)) == 1
 
 
 class TestEnvelopeBudget:
@@ -711,4 +800,4 @@ class TestRunChains:
         g = MorphicFixedPoint()
         with pytest.raises(ValueError, match="breaks the window law"):
             complement_below(g, Weights((1, 2)), 30)
-        assert g not in frobenius._COMPLEMENT_MEMO
+        assert memo_of(g) is None
