@@ -331,21 +331,13 @@ class TestComplementMemo:
             with pytest.raises(ValueError, match="not coprime"):
                 complement_below(g, Weights((2, 4)), 10)
         assert list(memo_of(g)) == [(Weights((1, 2)), None, None)]
-
-    @pytest.mark.parametrize("weights", [[3, 4], (np.int64(3), 4)])
-    def test_weights_not_built_as_weights(self, weights):
-        # a miss and then a hit both report the weights as a Weights, and
-        # the hit keeps refusing (1.0, 3), which equals (1, 3) and hashes
-        # alike
-        g = MorphicFixedPoint()
-        miss = complement_below(g, weights, 300)
-        assert list(memo_of(g)) == [(Weights((3, 4)), None, None)]
-        hit = complement_below(g, weights, 300)
+        # a list and numpy ints are one key, as a Weights, and a miss and a
+        # hit both report a Weights
+        miss = complement_below(g, [3, 4], 300)
+        hit = complement_below(g, (np.int64(3), 4), 300)
         assert hit == miss and hit.complement == (1, 2, 5, 9)
         assert type(miss.weights) is type(hit.weights) is Weights
-        complement_below(g, (1, 3), 10)
-        with pytest.raises(ValueError, match="positive integers"):
-            complement_below(g, (1.0, 3), 10)
+        assert list(memo_of(g))[1:] == [(Weights((3, 4)), None, None)]
 
     def test_full_range_hit_shares_the_memo_tuple(self):
         g = MorphicFixedPoint()
